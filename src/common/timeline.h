@@ -12,6 +12,10 @@
 // Timestamps are SimDurations measured from the timeline's t=0; everything
 // is deterministic — same schedule calls, same events, on any host
 // (tests/test_timeline.cpp locks this across runs).
+//
+// Events are flat and trivially copyable: a label is a `const char*` that
+// must outlive the timeline (string literals at every call site), so the
+// line-granular replays append events without building a string for each.
 #pragma once
 
 #include <string>
@@ -28,7 +32,7 @@ class Timeline {
  public:
   struct Event {
     ResourceId resource = 0;
-    std::string label;
+    const char* label = "";  // static lifetime (see above)
     SimDuration start, end;
     SimDuration duration() const { return end - start; }
   };
@@ -42,8 +46,10 @@ class Timeline {
 
   // Schedules a task on `r` that may not start before `ready`; it starts at
   // max(ready, the resource's free time) and occupies the resource for
-  // `duration`. Returns the placed event (with resolved start/end).
-  Event schedule(ResourceId r, std::string label, SimDuration ready,
+  // `duration`. Returns the placed event (with resolved start/end). An
+  // unknown resource or a negative (or NaN) duration aborts, in every build
+  // type, so each resource's events stay start-ordered and disjoint.
+  Event schedule(ResourceId r, const char* label, SimDuration ready,
                  SimDuration duration);
 
   // Earliest time a new event could start on `r` (ignoring ready deps).
@@ -61,6 +67,8 @@ class Timeline {
   // overlapping/adjacent intervals coalesced. This is the power-integration
   // view: during any merged interval at least one of the resources is
   // active, so a per-interval draw is charged once, not once per resource.
+  // Zero-length events occupy no time. One linear k-way merge of the
+  // per-resource event sequences, which schedule() keeps start-ordered.
   std::vector<std::pair<SimDuration, SimDuration>> busy_intervals(
       const std::vector<ResourceId>& resources) const;
 

@@ -372,9 +372,8 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
           sin.frame_ops.push_back(detail::stage_cost_ops(c));
         }
       }
-      sin.spill_ops.reserve(in.spill_cost.size());
-      for (const auto& c : in.spill_cost) {
-        sin.spill_ops.push_back(detail::stage_cost_ops(c));
+      if (!in.spill_cost.empty()) {
+        sin.spill_ops = detail::stage_cost_ops(in.spill_cost.front());
       }
       sinputs.push_back(std::move(sin));
     }

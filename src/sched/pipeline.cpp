@@ -223,14 +223,16 @@ PipelineRunResult run_pipelined(TransformBackend& backend,
     // Ping-pong buffer state persists across frames, so the next frame's
     // rows fill buffer B while the current frame's last batch computes out
     // of buffer A, and descriptor chains amortize the driver entry.
-    detail::StreamingStreamInput in;
+    // Built in place: passing `{in}` would copy every frame's op list.
+    std::vector<detail::StreamingStreamInput> inputs(1);
+    detail::StreamingStreamInput& in = inputs[0];
     in.arrivals.assign(frames.size(), SimDuration::zero());
     in.frame_ops = streaming_backend->take_stream_trace();
     in.engine = streaming_backend->accelerator().engine();
     in.costs = streaming_backend->accelerator().costs();
     in.sg_chain_len = streaming_backend->accelerator().batching().sg_chain_len;
     const detail::FleetSchedule sched = detail::schedule_streaming(
-        {in}, /*cores=*/1, /*engines=*/1, options.depth < 1 ? 1 : options.depth,
+        inputs, /*cores=*/1, /*engines=*/1, options.depth < 1 ? 1 : options.depth,
         /*steal_engines=*/true, /*spill_wait_frac=*/0.0);
     result.makespan = sched.timeline.makespan();
     result.ps_busy = sched.timeline.busy_time(sched.cores[0]);

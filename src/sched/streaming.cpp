@@ -97,6 +97,10 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
     int queue_len = 0;   // admitted frames whose first op has not dispatched
     int in_flight = 0;   // started, last op not yet committed
     int next_start = 0;  // index into `admitted` of the first unstarted frame
+    // Index into `admitted` past the prefix of completed frames. Completed
+    // frames are never candidates, so the dispatch scan starts here instead
+    // of rescanning every frame the stream has started.
+    int first_live = 0;
     std::vector<int> admitted;
     std::vector<FrameState> fs;
   };
@@ -119,8 +123,14 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
     const FrameState& fs =
         state[static_cast<std::size_t>(s)].fs[static_cast<std::size_t>(f)];
     return fs.use_spill && !in.spill_ops.empty()
-               ? in.spill_ops[static_cast<std::size_t>(f)]
+               ? in.spill_ops
                : in.frame_ops[static_cast<std::size_t>(f)];
+  };
+  // Every op of frame (s, f) has committed (or it had none).
+  auto done = [&](int s, int f) {
+    const FrameState& fs =
+        state[static_cast<std::size_t>(s)].fs[static_cast<std::size_t>(f)];
+    return fs.op_ptr >= static_cast<int>(frame_ops(s, f).size());
   };
   // Earliest-free engine this stream may use (same policy as schedule_fleet:
   // any engine when stealing, the home slot otherwise; ties prefer home,
@@ -198,14 +208,17 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
     SimDuration bready, bstart;
     for (int s = 0; s < ns; ++s) {
       StreamState& st = state[static_cast<std::size_t>(s)];
+      while (st.first_live < st.next_start &&
+             done(s, st.admitted[static_cast<std::size_t>(st.first_live)])) {
+        ++st.first_live;
+      }
       const int candidates = st.next_start < static_cast<int>(st.admitted.size()) &&
                                      st.in_flight < pipeline_depth
                                  ? st.next_start + 1
                                  : st.next_start;
-      for (int i = 0; i < candidates; ++i) {
+      for (int i = st.first_live; i < candidates; ++i) {
         const int f = st.admitted[static_cast<std::size_t>(i)];
-        const FrameState& fs = st.fs[static_cast<std::size_t>(f)];
-        if (fs.op_ptr >= static_cast<int>(frame_ops(s, f).size())) continue;
+        if (done(s, f)) continue;
         SimDuration ready;
         const SimDuration start = op_times(s, f, &ready);
         const bool better =
@@ -347,7 +360,7 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
     }
     ++fs.op_ptr;
     apply_boundaries(bs, bframe);
-    if (fs.op_ptr >= static_cast<int>(frame_ops(bs, bframe).size())) {
+    if (done(bs, bframe)) {
       --st.in_flight;
       outcome.completion = max_of(fs.ps_end, fs.last_out_end);
       outcome.latency =

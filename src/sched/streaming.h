@@ -65,11 +65,12 @@ std::vector<StreamOp> stage_cost_ops(const std::array<FleetStageCost, 4>& cost);
 
 // One stream's input to the streaming replay. frame_ops[f] is frame f's
 // captured op list; spill_ops (when non-empty) is the all-PS NEON
-// alternative the admission layer may switch a frame to.
+// alternative the admission layer may switch any frame to. NEON costs are
+// shape-only, so one list serves every frame of the stream.
 struct StreamingStreamInput {
   std::vector<SimDuration> arrivals;
   std::vector<std::vector<StreamOp>> frame_ops;
-  std::vector<std::vector<StreamOp>> spill_ops;
+  std::vector<StreamOp> spill_ops;
   SimDuration period;   // frame period; zero = batch mode (no spill)
   int queue_depth = 0;  // <= 0 = unbounded
   int home_engine = 0;

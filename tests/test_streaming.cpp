@@ -9,6 +9,9 @@
 // break-point move at small frames) hold.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
 #include "src/hw/driver.h"
 #include "src/sched/fleet.h"
 #include "src/sched/pipeline.h"
@@ -263,6 +266,132 @@ TEST(Streaming, FleetCrossFrameOffKeepsLegacySchedule) {
   const sched::FleetResult b = sched::run_fleet({stream}, off);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.energy_mj, b.energy_mj);
+}
+
+// --- golden schedule ------------------------------------------------------------
+
+// Frame f of stream s: prep, forward batches, fusion, inverse batches. Every
+// fourth frame is PL-heavy and the one after it is PS-only, so the short
+// frame overtakes the heavy one while its batches occupy the engine; barriers
+// and PS slices of several quanta exercise every fence.
+std::vector<sched::detail::StreamOp> golden_frame_ops(int s, int f) {
+  using sched::detail::StreamOp;
+  std::vector<StreamOp> ops;
+  auto boundary = [&](int stage) {
+    StreamOp op;
+    op.kind = StreamOp::Kind::kStageBoundary;
+    op.stage = stage;
+    ops.push_back(op);
+  };
+  const bool heavy = f % 4 == 1;
+  const bool ps_only = f % 4 == 2;
+  auto batches = [&](int stage, int n) {
+    for (int b = 0; b < n; ++b) {
+      StreamOp op;
+      op.kind = StreamOp::Kind::kBatch;
+      op.stage = stage;
+      op.words_in = 190 + 8 * b;
+      op.words_out = 176;
+      op.compute_cycles = heavy ? 20000.0 : 800.0 + 150.0 * ((b + f) % 3);
+      op.after_barrier = b == n / 2;
+      ops.push_back(op);
+    }
+  };
+  sched::detail::append_sliced_ps(
+      &ops, 0, SimDuration::microseconds(20 + 13 * ((f + s) % 4)));
+  boundary(0);
+  batches(1, ps_only ? 0 : 2 + (f * 5 + s * 3) % 5);
+  boundary(1);
+  sched::detail::append_sliced_ps(&ops, 2,
+                                  SimDuration::microseconds(15 + 40 * (f % 3)));
+  boundary(2);
+  batches(3, ps_only ? 0 : 1 + (f * 3 + s) % 4);
+  return ops;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint64_t hash_events(const Timeline& tl) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const Timeline::Event& ev : tl.events()) {
+    const double start = ev.start.sec();
+    const double end = ev.end.sec();
+    const std::string_view label(ev.label);
+    h = fnv1a(h, &ev.resource, sizeof ev.resource);
+    h = fnv1a(h, &start, sizeof start);
+    h = fnv1a(h, &end, sizeof end);
+    h = fnv1a(h, label.data(), label.size());
+    h = fnv1a(h, "", 1);  // label terminator
+  }
+  return h;
+}
+
+// Pins the exact event list of a contended 3-stream replay (pipeline depth
+// 3, bounded queues, NEON spill, one stage-granular stream) that drops and
+// spills frames and completes frames out of order. The hash was computed
+// with a dispatch scan over every started frame; any change to placement,
+// tie order or labels moves it.
+TEST(Streaming, GoldenScheduleOfAContendedThreeStreamReplay) {
+  using sched::detail::StreamingStreamInput;
+  constexpr int kFrames = 12;
+  std::vector<StreamingStreamInput> streams(3);
+  const double periods_us[3] = {300.0, 120.0, 0.0};
+  const int queue_depths[3] = {2, 1, 0};
+  for (int s = 0; s < 3; ++s) {
+    StreamingStreamInput& in = streams[static_cast<std::size_t>(s)];
+    in.period = SimDuration::microseconds(periods_us[s]);
+    in.queue_depth = queue_depths[s];
+    in.home_engine = s;
+    in.sg_chain_len = 4;
+    for (int f = 0; f < kFrames; ++f) {
+      in.arrivals.push_back(in.period * (f + 0.25 * ((f * 7 + s) % 3)));
+      if (s == 2) {
+        in.frame_ops.push_back(sched::detail::stage_cost_ops(
+            {{{SimDuration::microseconds(30), SimDuration::zero()},
+              {SimDuration::microseconds(10), SimDuration::microseconds(60 + 25 * (f % 4))},
+              {SimDuration::microseconds(45), SimDuration::zero()},
+              {SimDuration::microseconds(10), SimDuration::microseconds(50)}}}));
+      } else {
+        in.frame_ops.push_back(golden_frame_ops(s, f));
+      }
+    }
+    if (s < 2) {
+      in.spill_ops = sched::detail::stage_cost_ops(
+          {{{SimDuration::microseconds(20), SimDuration::zero()},
+            {SimDuration::microseconds(90), SimDuration::zero()},
+            {SimDuration::microseconds(25), SimDuration::zero()},
+            {SimDuration::microseconds(70), SimDuration::zero()}}});
+    }
+  }
+  const sched::detail::FleetSchedule sched = sched::detail::schedule_streaming(
+      streams, /*cores=*/2, /*engines=*/2, /*pipeline_depth=*/3,
+      /*steal_engines=*/true, /*spill_wait_frac=*/0.5);
+
+  // The run exercises what the hash is meant to pin.
+  int dropped = 0, spilled = 0, out_of_order = 0;
+  for (const auto& frames : sched.frames) {
+    SimDuration last;
+    for (const sched::detail::FleetFrameOutcome& o : frames) {
+      dropped += o.dropped;
+      spilled += o.spilled;
+      if (o.dropped) continue;
+      if (o.completion < last) ++out_of_order;
+      if (o.completion > last) last = o.completion;
+    }
+  }
+  EXPECT_EQ(dropped, 4);
+  EXPECT_EQ(spilled, 9);
+  EXPECT_EQ(out_of_order, 9);
+
+  EXPECT_EQ(sched.timeline.events().size(), 377u);
+  EXPECT_EQ(hash_events(sched.timeline), 0x860b1ad685517decull);
 }
 
 // --- op-list construction -----------------------------------------------------

@@ -1,6 +1,13 @@
 // Event-queue timeline, batched double buffering, and frame pipelining.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/common/timeline.h"
 #include "src/hw/driver.h"
 #include "src/sched/pipeline.h"
@@ -78,6 +85,92 @@ TEST(Timeline, DeterministicAcrossRepeatedConstruction) {
     EXPECT_EQ(t1.events()[i].end.sec(), t2.events()[i].end.sec());
   }
   EXPECT_EQ(t1.makespan().sec(), t2.makespan().sec());
+}
+
+// Events append by memcpy; labels are static strings, not owned copies.
+static_assert(std::is_trivially_copyable_v<Timeline::Event>);
+
+// Reference merge with no ordering assumption: gather every non-empty span
+// of the requested resources, sort by start, coalesce overlapping and
+// touching spans.
+std::vector<std::pair<SimDuration, SimDuration>> sorted_merge_reference(
+    const Timeline& tl, const std::vector<ResourceId>& resources) {
+  std::vector<std::pair<SimDuration, SimDuration>> spans;
+  for (const Timeline::Event& ev : tl.events()) {
+    if (ev.end == ev.start) continue;
+    if (std::find(resources.begin(), resources.end(), ev.resource) !=
+        resources.end()) {
+      spans.emplace_back(ev.start, ev.end);
+    }
+  }
+  std::sort(spans.begin(), spans.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::pair<SimDuration, SimDuration>> merged;
+  for (const auto& span : spans) {
+    if (!merged.empty() && span.first <= merged.back().second) {
+      merged.back().second = std::max(merged.back().second, span.second);
+    } else {
+      merged.push_back(span);
+    }
+  }
+  return merged;
+}
+
+TEST(Timeline, BusyIntervalsMatchSortedMergeOnRandomSchedules) {
+  // Times on a coarse microsecond grid, so equal starts across resources,
+  // spans touching end to start and zero-length events all occur often.
+  Rng rng(0x7e11e5ull);
+  for (int trial = 0; trial < 300; ++trial) {
+    Timeline tl;
+    const int resources = 1 + rng.next_index(6);
+    for (int r = 0; r < resources; ++r) tl.add_resource("R");
+    const int events = rng.next_index(80);
+    for (int i = 0; i < events; ++i) {
+      const int len = rng.next_index(4) == 0 ? 0 : 1 + rng.next_index(5);
+      tl.schedule(rng.next_index(resources), "e",
+                  SimDuration::microseconds(rng.next_index(60)),
+                  SimDuration::microseconds(len));
+    }
+    // Subsets: empty, single, random (with repeats), and all resources.
+    std::vector<std::vector<ResourceId>> subsets = {{}, {rng.next_index(resources)}};
+    std::vector<ResourceId> random_subset, all;
+    for (int r = 0; r < resources; ++r) {
+      all.push_back(r);
+      if (rng.next_index(2)) random_subset.push_back(r);
+      if (rng.next_index(4) == 0) random_subset.push_back(r);
+    }
+    subsets.push_back(random_subset);
+    subsets.push_back(all);
+    for (const std::vector<ResourceId>& subset : subsets) {
+      const auto got = tl.busy_intervals(subset);
+      const auto want = sorted_merge_reference(tl, subset);
+      ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].first.sec(), want[i].first.sec()) << "trial " << trial;
+        EXPECT_EQ(got[i].second.sec(), want[i].second.sec()) << "trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(TimelineDeathTest, ScheduleRejectsBadResourceAndDurationInEveryBuild) {
+  Timeline tl;
+  const ResourceId a = tl.add_resource("A");
+  EXPECT_DEATH(tl.schedule(a + 1, "x", SimDuration::zero(),
+                           SimDuration::microseconds(1)),
+               "Timeline::schedule");
+  EXPECT_DEATH(tl.schedule(-1, "x", SimDuration::zero(),
+                           SimDuration::microseconds(1)),
+               "Timeline::schedule");
+  EXPECT_DEATH(tl.schedule(a, "x", SimDuration::zero(),
+                           SimDuration::microseconds(-1)),
+               "Timeline::schedule");
+  EXPECT_DEATH(tl.schedule(a, "x", SimDuration::zero(),
+                           SimDuration::seconds(std::nan(""))),
+               "Timeline::schedule");
+  // A zero-length event is valid.
+  EXPECT_EQ(tl.schedule(a, "x", SimDuration::zero(), SimDuration::zero()).end,
+            SimDuration::zero());
 }
 
 // --- batched accelerator ----------------------------------------------------
