@@ -270,24 +270,40 @@ const float* extend_synthesis(const FilterBank& bank, const float* lo,
   return scratch.data();
 }
 
-// Run-based forms of the two extensions for the tiled path: same values as
-// extend_analysis/extend_synthesis (ext[k] = x[(k - offset) mod n]), but the
-// analysis fill is a handful of memcpy runs instead of a per-sample modulo,
-// and the synthesis fill keeps the wrap as an increment-and-reset counter.
-// On the 5..16-tap banks the extension is rebuilt once per line, so this is
-// one of the three host hot spots (with the column stride and the per-line
-// dispatch).
-void fill_synthesis_ext(const FilterBank& bank, const float* lo, const float* hi,
-                        int n, float* ext) {
+}  // namespace
+
+// Run-based forms of the two extensions for the tiled and fused paths: same
+// values as extend_analysis/extend_synthesis (ext[k] = x[(k - offset) mod
+// n]), but the analysis fill is a handful of memcpy runs instead of a
+// per-sample modulo, and the synthesis fill keeps the wrap as an
+// increment-and-reset counter. On the 5..16-tap banks the extension is
+// rebuilt once per line, so this is one of the host hot spots.
+void detail::fill_synthesis_ext(const FilterBank& bank, const float* lo,
+                                const float* hi, int n, float* ext) {
+  // Runs of whole (lo[i], hi[i]) pairs up to each wrap of the stream, with
+  // a lone hi (or trailing lo) sample where a run starts (ends) mid-pair.
   const int ext_len = n + bank.synth_taps();
+  const int pairs = n / 2;
   int src = wrap(-bank.synthesis_offset, n);
-  for (int k = 0; k < ext_len; ++k) {
-    ext[k] = (src & 1) ? hi[src >> 1] : lo[src >> 1];
-    if (++src == n) src = 0;
+  int k = 0;
+  while (k < ext_len) {
+    const int i = src >> 1;
+    const int run = (src & 1) ? 0 : std::min(pairs - i, (ext_len - k) / 2);
+    if (run == 0) {
+      ext[k++] = (src & 1) ? hi[i] : lo[i];
+      if (++src == n) src = 0;
+      continue;
+    }
+    float* e = ext + k;
+    for (int r = 0; r < run; ++r) {
+      e[2 * r] = lo[i + r];
+      e[2 * r + 1] = hi[i + r];
+    }
+    k += 2 * run;
+    src += 2 * run;
+    if (src == n) src = 0;
   }
 }
-
-}  // namespace
 
 void detail::fill_analysis_ext(const FilterBank& bank, const float* x, int n,
                                float* ext) {
@@ -339,6 +355,7 @@ const char* host_layout_name(HostLayout layout) {
 namespace {
 
 using detail::fill_analysis_ext;
+using detail::fill_synthesis_ext;
 using image::ImageF;
 
 // Lines per multi-line kernel dispatch, and the alignment that keeps every

@@ -302,6 +302,12 @@ FilterBank bank_for_level(const TransformConfig& config, int level, int tree);
 // n + bank.taps() floats).
 void fill_analysis_ext(const FilterBank& bank, const float* x, int n, float* ext);
 
+// Periodic extension of the interleaved lo/hi stream of one synthesis line
+// (n = 2 * pairs samples; ext needs n + bank.synth_taps() floats):
+// ext[k] = stream[(k - synthesis_offset) mod n], stream = lo[0], hi[0], ...
+void fill_synthesis_ext(const FilterBank& bank, const float* lo, const float* hi,
+                        int n, float* ext);
+
 // Replay one tree's forward / inverse account_*/barrier() sequence for an
 // input of the given pre-padding dims — the exact sequence the staged
 // forward_tree/inverse_tree emit, derived from shapes alone (accounting

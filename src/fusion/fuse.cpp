@@ -1,5 +1,7 @@
 #include "src/fusion/fuse.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "src/common/arena.h"
@@ -36,6 +38,18 @@ void average_into(const ImageF& a, const ImageF& b, ImageF* out,
                   dwt::LineFilter& filter) {
   *out = ImageF(a.rows(), a.cols());
   filter.average(a.data(), b.data(), static_cast<int>(a.size()), out->data());
+}
+
+// Always-on: the CMake default is Release, where a second frame smaller than
+// the first would otherwise be read out of bounds.
+void require_frame_pair(const ImageF& a, const ImageF& b, const char* where) {
+  if (a.rows() < 1 || a.cols() < 1 || a.rows() != b.rows() ||
+      a.cols() != b.cols()) {
+    std::fprintf(stderr, "fatal: %s(%dx%d, %dx%d): frames must be non-empty "
+                 "and the same size\n", where, a.rows(), a.cols(), b.rows(),
+                 b.cols());
+    std::abort();
+  }
 }
 
 const ImageF& band(const dwt::LevelBands& lv, int which) {
@@ -79,6 +93,7 @@ void fuse_pyramids(const dwt::DtcwtPyramid& a, const dwt::DtcwtPyramid& b,
 
 image::ImageF fuse_frames(const image::ImageF& a, const image::ImageF& b,
                           const FuseConfig& config, dwt::LineFilter& filter) {
+  require_frame_pair(a, b, "fuse_frames");
   if (dwt::host_layout() == dwt::HostLayout::kFused &&
       dwt::FusionPlan::applicable(config.transform, filter)) {
     const dwt::FusionPlan plan(a.rows(), a.cols(), config.transform);
@@ -102,6 +117,7 @@ FusionOutcome fuse_frames_with_quality(const image::ImageF& a, const image::Imag
 
 image::ImageF fuse_frames_dwt(const image::ImageF& a, const image::ImageF& b,
                               const DwtFuseConfig& config, dwt::LineFilter& filter) {
+  require_frame_pair(a, b, "fuse_frames_dwt");
   dwt::TreePyramid pa = dwt::forward_tree(a, config.transform, 0, 0, filter);
   dwt::TreePyramid pb = dwt::forward_tree(b, config.transform, 0, 0, filter);
   dwt::TreePyramid fused;

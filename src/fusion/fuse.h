@@ -27,7 +27,8 @@ struct FusionOutcome {
 
 // DT-CWT max-magnitude fusion (the paper's pipeline). All transform lines and
 // fusion-rule kernels execute through `filter`, so backends can account
-// modeled time and MACs.
+// modeled time and MACs. Empty frames, or frames of different sizes, abort
+// with a message in every build type (as does fuse_frames_dwt).
 image::ImageF fuse_frames(const image::ImageF& a, const image::ImageF& b,
                           const FuseConfig& config, dwt::LineFilter& filter);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "src/common/arena.h"
@@ -14,6 +16,11 @@ namespace {
 using image::ImageF;
 
 constexpr int kLineBlock = simd::kMaxLinesPerCall;
+
+// Input bytes a column-pass strip targets (see LevelDims::strip): small
+// frames run as one strip; large ones walk the planes in strips that stay
+// cache-resident while every column block of the strip consumes them.
+constexpr int kStripBytes = 256 * 1024;
 
 // tree(pair, side): trees (0,3) form the first complex pair, (1,2) the
 // second; within a pair the re side is row-tree A and the im side row-tree B
@@ -34,48 +41,106 @@ void run_span(ThreadPool* pool, int n, Fn&& fn) {
   }
 }
 
-// Edge-replicating pad of an rows x cols plane into rp x cp (rp, cp each at
+// Edge-replicating pad of an rows x cols frame into rp x cp (rp, cp each at
 // most one larger) — the same pad_even semantics as the staged path.
-void pad_raw(const float* src, int rows, int cols, int src_stride, int rp,
-             int cp, float* out) {
+void pad_raw(const float* src, int rows, int cols, int rp, int cp, float* out) {
   for (int r = 0; r < rp; ++r) {
-    const float* s = src + static_cast<size_t>(r < rows ? r : rows - 1) * src_stride;
+    const float* s = src + static_cast<size_t>(r < rows ? r : rows - 1) * cols;
     float* d = out + static_cast<size_t>(r) * cp;
     std::memcpy(d, s, static_cast<size_t>(cols) * sizeof(float));
     if (cp > cols) d[cols] = s[cols - 1];
   }
 }
 
-// One forward row pass: rp lines of `src` (stride src_stride, cp samples
-// each) -> rowlo/rowhi (rp x hc, stride hc). Same ext fill + kernel dispatch
-// as the tiled analyze_level row pass.
-void forward_row_pass(const float* src, int src_stride, int rp, int cp, int hc,
-                      const FilterBank& bank, const simd::KernelSet& k,
-                      ThreadPool* pool, float* rowlo, float* rowhi) {
+// Blocks of kLineBlock columns covering n columns (the last may be partial).
+int blocks_of(int n) { return (n + kLineBlock - 1) / kLineBlock; }
+
+// Pads the r x c top-left of an rp x cp plane (stride cp, rp/cp each at most
+// one larger) in place by edge replication — pad_raw's semantics without the
+// copy.
+void pad_in_place(float* plane, int r, int c, int rp, int cp) {
+  if (cp > c) {
+    for (int i = 0; i < r; ++i) {
+      float* row = plane + static_cast<size_t>(i) * cp;
+      row[c] = row[c - 1];
+    }
+  }
+  if (rp > r) {
+    std::memcpy(plane + static_cast<size_t>(r) * cp,
+                plane + static_cast<size_t>(r - 1) * cp,
+                static_cast<size_t>(cp) * sizeof(float));
+  }
+}
+
+// Copies rows x nb floats between planes of strides src_stride/dst_stride.
+void copy_rows(const float* src, int src_stride, int rows, int nb, float* dst,
+               int dst_stride) {
+  for (int i = 0; i < rows; ++i) {
+    const float* s = src + static_cast<size_t>(i) * src_stride;
+    float* d = dst + static_cast<size_t>(i) * dst_stride;
+    if (nb == kLineBlock) {
+      std::memcpy(d, s, kLineBlock * sizeof(float));
+    } else {
+      for (int l = 0; l < nb; ++l) d[l] = s[l];
+    }
+  }
+}
+
+// Completes an extended row-pass plane in place: rows [lead, lead + n) hold
+// the n rows a row pass wrote; every other row j of the ext_rows is row
+// (j - lead) mod n of those — the periodic extension of all its columns at
+// once, so a column pass reads it at the plane stride with no gather.
+void extend_rows(float* plane, int width, int lead, int n, int ext_rows) {
+  const size_t bytes = static_cast<size_t>(width) * sizeof(float);
+  for (int j = 0; j < ext_rows; ++j) {
+    if (j >= lead && j < lead + n) continue;
+    const int src = lead + ((j - lead) % n + n) % n;
+    std::memcpy(plane + static_cast<size_t>(j) * width,
+                plane + static_cast<size_t>(src) * width, bytes);
+  }
+}
+
+// One forward row pass into an extended row-pass plane pair (ext_rows x hc):
+// the rp lines of `src` (stride cp, cp samples each) filter through the same
+// ext fill + kernel dispatch as the tiled analyze_level row pass into rows
+// [lead, lead + rp), then extend_rows completes the periodic extension
+// around them.
+void extended_row_pass(const float* src, int rp, int cp, int hc, int lead,
+                       int ext_rows, const FilterBank& bank,
+                       const simd::KernelSet& k, ThreadPool* pool, float* rowlo,
+                       float* rowhi) {
   const int taps = bank.taps();
   const int ext_stride = align16(cp + taps);
+  float* lo = rowlo + static_cast<size_t>(lead) * hc;
+  float* hi = rowhi + static_cast<size_t>(lead) * hc;
   auto block = [&](int r0, int r1) {
     ArenaScope scratch;
     float* ext = scratch.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
     for (int r = r0; r < r1; r += kLineBlock) {
       const int nb = std::min(kLineBlock, r1 - r);
       for (int l = 0; l < nb; ++l) {
-        detail::fill_analysis_ext(bank, src + static_cast<size_t>(r + l) * src_stride,
-                                  cp, ext + static_cast<size_t>(l) * ext_stride);
+        detail::fill_analysis_ext(bank, src + static_cast<size_t>(r + l) * cp, cp,
+                                  ext + static_cast<size_t>(l) * ext_stride);
       }
       k.analyze_ml(ext, ext_stride, nb, hc, bank.lp.data(), bank.hp.data(), taps,
-                   rowlo + static_cast<size_t>(r) * hc,
-                   rowhi + static_cast<size_t>(r) * hc, hc);
+                   lo + static_cast<size_t>(r) * hc, hi + static_cast<size_t>(r) * hc,
+                   hc);
     }
   };
   run_span(pool, rp, block);
+  extend_rows(rowlo, hc, lead, rp, ext_rows);
+  extend_rows(rowhi, hc, lead, rp, ext_rows);
 }
 
 }  // namespace
 
 FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
     : rows_(rows), cols_(cols), config_(config) {
-  assert(rows >= 1 && cols >= 1 && config.levels >= 1);
+  if (rows < 1 || cols < 1 || config.levels < 1) {
+    std::fprintf(stderr, "fatal: FusionPlan(%dx%d, %d levels)\n", rows, cols,
+                 config.levels);
+    std::abort();
+  }
   int r = rows, c = cols;
   dims_.reserve(config.levels);
   for (int level = 0; level < config.levels; ++level) {
@@ -86,9 +151,16 @@ FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
     d.cp = c + (c & 1);
     d.hr = d.rp / 2;
     d.hc = d.cp / 2;
+    d.bs = d.hc;
     dims_.push_back(d);
     r = d.hr;
     c = d.hc;
+  }
+  // Band planes above the deepest level take the next level's padded width
+  // as their row stride, so the lowpass plane is padded in place and the
+  // inverse reads the next level's reconstruction at the bands' stride.
+  for (int level = 0; level + 1 < config.levels; ++level) {
+    dims_[level].bs = dims_[level + 1].cp;
   }
   for (int tree = 0; tree < 2; ++tree) {
     row_banks_[tree].reserve(config.levels);
@@ -98,9 +170,27 @@ FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
       col_banks_[tree].push_back(detail::bank_for_level(config_, level, tree));
     }
   }
-  // analyze_mag_ml filters the re and im lines through one shared extension
-  // stride/tap window, and select_synth_ml interleaves one (ca, cb) pair per
-  // call. Both rely on the tree-A and tree-B banks agreeing on window widths,
+  // Extended row-pass planes (extend_rows): the column bank of tree t reads
+  // its extension ext[k] = x[(k - E_t) mod rp] as plane row k + skip[t].
+  // lead = the largest E_t mod rp keeps every skip non-negative.
+  for (int level = 0; level < config.levels; ++level) {
+    LevelDims& d = dims_[level];
+    const int taps = col_banks_[0][level].taps();
+    int e[2];
+    for (int t = 0; t < 2; ++t) {
+      e[t] = (col_banks_[t][level].analysis_offset % d.rp + d.rp) % d.rp;
+    }
+    d.lead = std::max(e[0], e[1]);
+    for (int t = 0; t < 2; ++t) d.skip[t] = d.lead - e[t];
+    d.ext_rows = std::max(d.rp + taps + std::max(d.skip[0], d.skip[1]),
+                          d.lead + d.rp);
+    // Output rows per strip of the column pass: a strip's input rows of the
+    // eight extended planes (2 frames x lo/hi x re/im) stay near kStripBytes.
+    const int per_row = 8 * d.hc * static_cast<int>(sizeof(float));
+    d.strip = std::clamp((kStripBytes / per_row - taps) / 2, 1, d.hr);
+  }
+  // analyze_mag_ml filters the re and im columns with one tap count, and
+  // select_synth_ml interleaves one (ca, cb) pair per call. Both rely on the tree-A and tree-B banks agreeing on window widths,
   // which make_filter_bank guarantees by construction (the level-1 delay
   // shifts both window ends; the q-shift reversal stays inside the same
   // 14-tap window).
@@ -117,9 +207,16 @@ bool FusionPlan::applicable(const TransformConfig& config, const LineFilter& fil
 
 ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
                        const StageHooks& hooks) const {
-  assert(a.rows() == rows_ && a.cols() == cols_);
-  assert(b.rows() == rows_ && b.cols() == cols_);
-  assert(f.splittable());
+  // Always-on: the CMake default is Release, where an assert would let a
+  // frame smaller than the plan read out of bounds.
+  if (a.rows() != rows_ || a.cols() != cols_ || b.rows() != rows_ ||
+      b.cols() != cols_ || !f.splittable()) {
+    std::fprintf(stderr,
+                 "fatal: FusionPlan::run(%dx%d, %dx%d) on a %dx%d plan%s\n",
+                 a.rows(), a.cols(), b.rows(), b.cols(), rows_, cols_,
+                 f.splittable() ? "" : " with a non-splittable filter");
+    std::abort();
+  }
 
   const simd::KernelSet& k = f.kernels();
   ThreadPool* pool = f.pool();
@@ -134,7 +231,7 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
   for (int x = 0; x < 2; ++x) {
     if (rows_ != d0.rp || cols_ != d0.cp) {
       float* p = outer.alloc(static_cast<size_t>(d0.rp) * d0.cp);
-      pad_raw(in[x], rows_, cols_, cols_, d0.rp, d0.cp, p);
+      pad_raw(in[x], rows_, cols_, d0.rp, d0.cp, p);
       in[x] = p;
     }
   }
@@ -142,16 +239,16 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
   // Level-0 row passes, shared across the two complex pairs: in both pairs
   // the re side is row-tree A and the im side row-tree B, so four passes
   // (frame x side) cover all eight (frame x tree) level-0 row transforms the
-  // staged path runs.
-  const size_t half0 = static_cast<size_t>(d0.rp) * d0.hc;
+  // staged path runs. Their outputs are extended row-pass planes.
+  const size_t ext0 = static_cast<size_t>(d0.ext_rows) * d0.hc;
   float* row0lo[2][2];
   float* row0hi[2][2];
   for (int x = 0; x < 2; ++x) {
     for (int s = 0; s < 2; ++s) {
-      row0lo[x][s] = outer.alloc(half0);
-      row0hi[x][s] = outer.alloc(half0);
-      forward_row_pass(in[x], d0.cp, d0.rp, d0.cp, d0.hc, row_banks_[s][0], k,
-                       pool, row0lo[x][s], row0hi[x][s]);
+      row0lo[x][s] = outer.alloc(ext0);
+      row0hi[x][s] = outer.alloc(ext0);
+      extended_row_pass(in[x], d0.rp, d0.cp, d0.hc, d0.lead, d0.ext_rows,
+                        row_banks_[s][0], k, pool, row0lo[x][s], row0hi[x][s]);
     }
   }
 
@@ -166,24 +263,23 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
     ArenaScope pair;
     const int col_tree[2] = {p, 1 - p};
 
-    // Fused band planes for levels above the deepest, stored transposed
-    // (line = image column, stride hr) so the inverse column pass reads them
-    // directly. fused_at(L, sb, s): sb in {0=lh, 1=hl, 2=hh}, s = side.
+    // Fused band planes for levels above the deepest (hr x bs, row-major).
+    // fused_at(L, sb, s): sb in {0=lh, 1=hl, 2=hh}, s = side.
     std::vector<float*> fused_bands(static_cast<size_t>(DL) * 6, nullptr);
     auto fused_at = [&](int L, int sb, int s) -> float*& {
       return fused_bands[(static_cast<size_t>(L) * 3 + sb) * 2 + s];
     };
     for (int L = 0; L < DL; ++L) {
-      const size_t q = static_cast<size_t>(dims_[L].hr) * dims_[L].hc;
+      const size_t q = static_cast<size_t>(dims_[L].hr) * dims_[L].bs;
       for (int sb = 0; sb < 3; ++sb) {
         for (int s = 0; s < 2; ++s) fused_at(L, sb, s) = pair.alloc(q);
       }
     }
     // At the deepest level both frames' candidate bands and their magnitudes
-    // are kept (transposed) so the select rule can run fused into the inverse
-    // synthesis read. deep_band[sb][side][frame]; deep_mag[sb][frame].
+    // are kept so the select rule can run fused into the inverse synthesis
+    // read. deep_band[sb][side][frame]; deep_mag[sb][frame].
     const LevelDims& dd = dims_[DL];
-    const size_t qd = static_cast<size_t>(dd.hr) * dd.hc;
+    const size_t qd = static_cast<size_t>(dd.hr) * dd.bs;
     float* deep_band[3][2][2];
     float* deep_mag[3][2];
     for (int sb = 0; sb < 3; ++sb) {
@@ -192,24 +288,21 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
       }
       for (int x = 0; x < 2; ++x) deep_mag[sb][x] = pair.alloc(qd);
     }
-    float* t_ll_fused[2] = {pair.alloc(qd), pair.alloc(qd)};
+    float* ll_fused[2] = {pair.alloc(qd), pair.alloc(qd)};
 
     // --- forward: both frames interleaved, band-by-band -----------------
     const float* cur[2][2] = {{nullptr, nullptr}, {nullptr, nullptr}};
     for (int L = 0; L < D; ++L) {
       const LevelDims& dl = dims_[L];
-      const size_t half = static_cast<size_t>(dl.rp) * dl.hc;
-      const size_t q = static_cast<size_t>(dl.hr) * dl.hc;
+      const bool deep = L == DL;
 
-      // Outputs that must survive this level (allocated below the transient
-      // scope's mark): the transposed lowpass residues, and — above the
-      // deepest level — their transpose back into row-major for level L+1.
-      float* tll[2][2];
-      float* ll_next[2][2] = {{nullptr, nullptr}, {nullptr, nullptr}};
+      // Lowpass planes (hr x bs). Above the deepest level they are the next
+      // level's input and get one spare row for its even padding.
+      const int ll_rows = deep ? dl.hr : dims_[L + 1].rp;
+      float* ll[2][2];
       for (int x = 0; x < 2; ++x) {
         for (int s = 0; s < 2; ++s) {
-          tll[x][s] = pair.alloc(q);
-          if (L < DL) ll_next[x][s] = pair.alloc(q);
+          ll[x][s] = pair.alloc(static_cast<size_t>(ll_rows) * dl.bs);
         }
       }
 
@@ -226,197 +319,196 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
               rowhi[x][s] = row0hi[x][s];
               continue;
             }
-            rowlo[x][s] = level.alloc(half);
-            rowhi[x][s] = level.alloc(half);
-            const float* src = cur[x][s];
-            int src_stride = dl.c;
-            if (dl.rp != dl.r || dl.cp != dl.c) {
-              float* pp = level.alloc(static_cast<size_t>(dl.rp) * dl.cp);
-              pad_raw(src, dl.r, dl.c, src_stride, dl.rp, dl.cp, pp);
-              src = pp;
-              src_stride = dl.cp;
-            }
-            forward_row_pass(src, src_stride, dl.rp, dl.cp, dl.hc,
-                             row_banks_[s][L], k, pool, rowlo[x][s], rowhi[x][s]);
+            rowlo[x][s] = level.alloc(static_cast<size_t>(dl.ext_rows) * dl.hc);
+            rowhi[x][s] = level.alloc(static_cast<size_t>(dl.ext_rows) * dl.hc);
+            extended_row_pass(cur[x][s], dl.rp, dl.cp, dl.hc, dl.lead,
+                              dl.ext_rows, row_banks_[s][L], k, pool, rowlo[x][s],
+                              rowhi[x][s]);
           }
         }
 
-        // Column pass: analysis + magnitude fused per frame, then — above
-        // the deepest level — the select rule immediately, while the block's
-        // bands are hot. All outputs are transposed (stride hr).
+        // Column pass, lane-interleaved: one work item is one strip of
+        // output rows x one block of kLineBlock columns, read straight from
+        // the extended planes. Analysis + magnitude fused per frame, then —
+        // above the deepest level — the select rule while the block's bands
+        // are hot.
         const FilterBank& cb0 = col_banks_[col_tree[0]][L];
         const FilterBank& cb1 = col_banks_[col_tree[1]][L];
-        const int taps = cb0.taps();
-        const int ext_stride = align16(dl.rp + taps);
-        auto col_block = [&](int c0, int c1) {
+        const int skip0 = dl.skip[col_tree[0]];
+        const int skip1 = dl.skip[col_tree[1]];
+        const int nblocks = blocks_of(dl.hc);
+        const size_t blk_size = static_cast<size_t>(dl.strip) * kLineBlock;
+        auto col_items = [&](int w0, int w1) {
           ArenaScope scratch;
-          float* slab_lo[2];
-          float* slab_hi[2];
-          for (int s = 0; s < 2; ++s) {
-            slab_lo[s] = scratch.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
-            slab_hi[s] = scratch.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
-          }
-          float* ext_re = scratch.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
-          float* ext_im = scratch.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
-          // Block-local band planes for the in-cache select at shallow
-          // levels: blk[frame][sb][0=re, 1=im, 2=mag].
-          float* blk[2][3][3];
-          if (L < DL) {
+          // Block-local planes (strip x kLineBlock) for the in-cache select
+          // at shallow levels: blk[frame][sb][0=re, 1=im, 2=mag], the
+          // selected pair sel[0=re, 1=im], and the block's lowpass rows on
+          // their way into ll.
+          float* blk[2][3][3] = {};
+          float* sel[2] = {};
+          float* ll_blk[2] = {};
+          if (!deep) {
             for (int x = 0; x < 2; ++x) {
               for (int sb = 0; sb < 3; ++sb) {
-                for (int j = 0; j < 3; ++j) {
-                  blk[x][sb][j] = scratch.alloc(static_cast<size_t>(kLineBlock) * dl.hr);
-                }
+                for (int j = 0; j < 3; ++j) blk[x][sb][j] = scratch.alloc(blk_size);
               }
             }
+            for (int s = 0; s < 2; ++s) {
+              sel[s] = scratch.alloc(blk_size);
+              ll_blk[s] = scratch.alloc(blk_size);
+            }
           }
-          for (int c = c0; c < c1; c += kLineBlock) {
-            const int nb = std::min(kLineBlock, c1 - c);
-            const size_t off = static_cast<size_t>(c) * dl.hr;
+          for (int w = w0; w < w1; ++w) {
+            const int i0 = (w / nblocks) * dl.strip;
+            const int ns = std::min(dl.strip, dl.hr - i0);
+            const int c = (w % nblocks) * kLineBlock;
+            const int nb = std::min(kLineBlock, dl.hc - c);
+            const size_t o = static_cast<size_t>(i0) * dl.bs + c;
+            const size_t in0 = static_cast<size_t>(skip0 + 2 * i0) * dl.hc + c;
+            const size_t in1 = static_cast<size_t>(skip1 + 2 * i0) * dl.hc + c;
             for (int x = 0; x < 2; ++x) {
+              // Row-lo columns -> ll (both sides) + lh (+ |lh|), then row-hi
+              // columns -> hl + hh (+ magnitudes of both).
+              if (deep) {
+                k.analyze_mag_ml(rowlo[x][0] + in0, rowlo[x][1] + in1, dl.hc, nb,
+                                 ns, cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
+                                 cb1.hp.data(), cb0.taps(), ll[x][0] + o,
+                                 deep_band[0][0][x] + o, ll[x][1] + o,
+                                 deep_band[0][1][x] + o, nullptr,
+                                 deep_mag[0][x] + o, dl.bs);
+                k.analyze_mag_ml(rowhi[x][0] + in0, rowhi[x][1] + in1, dl.hc, nb,
+                                 ns, cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
+                                 cb1.hp.data(), cb0.taps(), deep_band[1][0][x] + o,
+                                 deep_band[2][0][x] + o, deep_band[1][1][x] + o,
+                                 deep_band[2][1][x] + o, deep_mag[1][x] + o,
+                                 deep_mag[2][x] + o, dl.bs);
+                continue;
+              }
+              k.analyze_mag_ml(rowlo[x][0] + in0, rowlo[x][1] + in1, dl.hc, nb, ns,
+                               cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
+                               cb1.hp.data(), cb0.taps(), ll_blk[0], blk[x][0][0],
+                               ll_blk[1], blk[x][0][1], nullptr, blk[x][0][2],
+                               kLineBlock);
+              k.analyze_mag_ml(rowhi[x][0] + in0, rowhi[x][1] + in1, dl.hc, nb, ns,
+                               cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
+                               cb1.hp.data(), cb0.taps(), blk[x][1][0],
+                               blk[x][2][0], blk[x][1][1], blk[x][2][1],
+                               blk[x][1][2], blk[x][2][2], kLineBlock);
               for (int s = 0; s < 2; ++s) {
-                simd::transpose_f32(rowlo[x][s] + c, dl.rp, nb, dl.hc, slab_lo[s], dl.rp);
-                simd::transpose_f32(rowhi[x][s] + c, dl.rp, nb, dl.hc, slab_hi[s], dl.rp);
+                copy_rows(ll_blk[s], kLineBlock, ns, nb, ll[x][s] + o, dl.bs);
               }
-              // Row-lo columns -> ll (both sides) + lh (+ |lh|).
-              for (int l = 0; l < nb; ++l) {
-                detail::fill_analysis_ext(cb0, slab_lo[0] + static_cast<size_t>(l) * dl.rp,
-                                          dl.rp, ext_re + static_cast<size_t>(l) * ext_stride);
-                detail::fill_analysis_ext(cb1, slab_lo[1] + static_cast<size_t>(l) * dl.rp,
-                                          dl.rp, ext_im + static_cast<size_t>(l) * ext_stride);
-              }
-              const bool deep = L == DL;
-              k.analyze_mag_ml(ext_re, ext_im, ext_stride, nb, dl.hr,
-                               cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
-                               cb1.hp.data(), taps, tll[x][0] + off,
-                               deep ? deep_band[0][0][x] + off : blk[x][0][0],
-                               tll[x][1] + off,
-                               deep ? deep_band[0][1][x] + off : blk[x][0][1],
-                               nullptr,
-                               deep ? deep_mag[0][x] + off : blk[x][0][2], dl.hr);
-              // Row-hi columns -> hl + hh (+ magnitudes of both).
-              for (int l = 0; l < nb; ++l) {
-                detail::fill_analysis_ext(cb0, slab_hi[0] + static_cast<size_t>(l) * dl.rp,
-                                          dl.rp, ext_re + static_cast<size_t>(l) * ext_stride);
-                detail::fill_analysis_ext(cb1, slab_hi[1] + static_cast<size_t>(l) * dl.rp,
-                                          dl.rp, ext_im + static_cast<size_t>(l) * ext_stride);
-              }
-              k.analyze_mag_ml(ext_re, ext_im, ext_stride, nb, dl.hr,
-                               cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
-                               cb1.hp.data(), taps,
-                               deep ? deep_band[1][0][x] + off : blk[x][1][0],
-                               deep ? deep_band[2][0][x] + off : blk[x][2][0],
-                               deep ? deep_band[1][1][x] + off : blk[x][1][1],
-                               deep ? deep_band[2][1][x] + off : blk[x][2][1],
-                               deep ? deep_mag[1][x] + off : blk[x][1][2],
-                               deep ? deep_mag[2][x] + off : blk[x][2][2], dl.hr);
             }
-            if (L < DL) {
-              for (int sb = 0; sb < 3; ++sb) {
-                k.select_ml(blk[0][sb][0], blk[0][sb][1], blk[1][sb][0],
-                            blk[1][sb][1], blk[0][sb][2], blk[1][sb][2], nb,
-                            dl.hr, dl.hr, fused_at(L, sb, 0) + off,
-                            fused_at(L, sb, 1) + off, dl.hr);
+            if (deep) continue;
+            // The select is element-wise, so a full block selects as one
+            // line of ns * kLineBlock samples; a partial one row by row.
+            const bool full = nb == kLineBlock;
+            const int lines = full ? 1 : ns;
+            const int len = full ? ns * kLineBlock : nb;
+            for (int sb = 0; sb < 3; ++sb) {
+              k.select_ml(blk[0][sb][0], blk[0][sb][1], blk[1][sb][0],
+                          blk[1][sb][1], blk[0][sb][2], blk[1][sb][2], lines, len,
+                          kLineBlock, sel[0], sel[1], kLineBlock);
+              for (int s = 0; s < 2; ++s) {
+                copy_rows(sel[s], kLineBlock, ns, nb, fused_at(L, sb, s) + o, dl.bs);
               }
             }
           }
         };
-        run_span(pool, dl.hc, col_block);
+        run_span(pool, (dl.hr + dl.strip - 1) / dl.strip * nblocks, col_items);
       }  // transient level scope
 
-      if (L < DL) {
+      if (!deep) {
+        const LevelDims& dn = dims_[L + 1];
         for (int x = 0; x < 2; ++x) {
           for (int s = 0; s < 2; ++s) {
-            simd::transpose_f32(tll[x][s], dl.hc, dl.hr, dl.hr, ll_next[x][s], dl.hc);
-            cur[x][s] = ll_next[x][s];
+            pad_in_place(ll[x][s], dn.r, dn.c, dn.rp, dn.cp);
+            cur[x][s] = ll[x][s];
           }
         }
       } else {
         // Lowpass residue fusion (not time-accounted, matching average()).
         for (int s = 0; s < 2; ++s) {
-          k.average(tll[0][s], tll[1][s], static_cast<int>(qd), t_ll_fused[s]);
+          k.average(ll[0][s], ll[1][s], static_cast<int>(qd), ll_fused[s]);
         }
       }
     }
 
     // --- inverse: fused bands stream straight into synthesis ------------
     for (int s = 0; s < 2; ++s) {
-      const FilterBank* rowb = &row_banks_[s][0];  // reassigned per level
-      const float* t_cur = t_ll_fused[s];
+      // This level's lowpass input: the fused residue at the deepest level,
+      // above it the previous (deeper) level's reconstruction, read in place
+      // at stride bs — which is that reconstruction's padded width.
+      const float* ll_in = ll_fused[s];
       for (int L = DL; L >= 0; --L) {
         const LevelDims& dl = dims_[L];
-        const int rp2 = dl.hr;  // synthesis pair count per column line
-        const int cp2 = dl.hc;
         const FilterBank& colb = col_banks_[col_tree[s]][L];
-        rowb = &row_banks_[s][L];
+        const FilterBank& rowb = row_banks_[s][L];
+        const int pairs = dl.hr;  // synthesis pairs per column line
+        const size_t half = static_cast<size_t>(dl.rp) * dl.hc;
 
-        float* rowlo = pair.alloc(static_cast<size_t>(dl.rp) * cp2);
-        float* rowhi = pair.alloc(static_cast<size_t>(dl.rp) * cp2);
+        float* rowlo = pair.alloc(half);
+        float* rowhi = pair.alloc(half);
         float* padded = pair.alloc(static_cast<size_t>(dl.rp) * dl.cp);
-        float* t_next =
-            L > 0 ? pair.alloc(static_cast<size_t>(dl.c) * dl.r) : nullptr;
 
-        // Column synthesis; at the deepest level the select rule runs fused
-        // into the synthesis read of the candidate bands.
-        auto col_block = [&](int c0, int c1) {
-          ArenaScope scratch;
-          float* tslab_lo = scratch.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
-          float* tslab_hi = scratch.alloc(static_cast<size_t>(kLineBlock) * dl.rp);
-          for (int c = c0; c < c1; c += kLineBlock) {
-            const int nb = std::min(kLineBlock, c1 - c);
-            const size_t off = static_cast<size_t>(c) * rp2;
+        // Column synthesis, lane-interleaved straight into the row-major
+        // rowlo/rowhi planes; at the deepest level the select rule runs
+        // fused into the synthesis read of the candidate bands.
+        auto col_block = [&](int b0, int b1) {
+          for (int bi = b0; bi < b1; ++bi) {
+            const int c = bi * kLineBlock;
+            const int nb = std::min(kLineBlock, dl.hc - c);
             if (L == DL) {
-              k.select_synth_ml(t_cur + off, nullptr, nullptr, nullptr,
-                                deep_band[0][s][0] + off, deep_band[0][s][1] + off,
-                                deep_mag[0][0] + off, deep_mag[0][1] + off, rp2,
-                                nb, rp2, colb.ca.data(), colb.cb.data(),
+              k.select_synth_ml(ll_in + c, nullptr, nullptr, nullptr,
+                                deep_band[0][s][0] + c, deep_band[0][s][1] + c,
+                                deep_mag[0][0] + c, deep_mag[0][1] + c, dl.bs, nb,
+                                pairs, colb.ca.data(), colb.cb.data(),
                                 colb.synth_taps(), colb.synthesis_offset,
-                                tslab_lo, dl.rp);
-              k.select_synth_ml(deep_band[1][s][0] + off, deep_band[1][s][1] + off,
-                                deep_mag[1][0] + off, deep_mag[1][1] + off,
-                                deep_band[2][s][0] + off, deep_band[2][s][1] + off,
-                                deep_mag[2][0] + off, deep_mag[2][1] + off, rp2,
-                                nb, rp2, colb.ca.data(), colb.cb.data(),
+                                rowlo + c, dl.hc);
+              k.select_synth_ml(deep_band[1][s][0] + c, deep_band[1][s][1] + c,
+                                deep_mag[1][0] + c, deep_mag[1][1] + c,
+                                deep_band[2][s][0] + c, deep_band[2][s][1] + c,
+                                deep_mag[2][0] + c, deep_mag[2][1] + c, dl.bs, nb,
+                                pairs, colb.ca.data(), colb.cb.data(),
                                 colb.synth_taps(), colb.synthesis_offset,
-                                tslab_hi, dl.rp);
+                                rowhi + c, dl.hc);
             } else {
-              k.select_synth_ml(t_cur + off, nullptr, nullptr, nullptr,
-                                fused_at(L, 0, s) + off, nullptr, nullptr,
-                                nullptr, rp2, nb, rp2, colb.ca.data(),
-                                colb.cb.data(), colb.synth_taps(),
-                                colb.synthesis_offset, tslab_lo, dl.rp);
-              k.select_synth_ml(fused_at(L, 1, s) + off, nullptr, nullptr,
-                                nullptr, fused_at(L, 2, s) + off, nullptr,
-                                nullptr, nullptr, rp2, nb, rp2, colb.ca.data(),
-                                colb.cb.data(), colb.synth_taps(),
-                                colb.synthesis_offset, tslab_hi, dl.rp);
+              k.select_synth_ml(ll_in + c, nullptr, nullptr, nullptr,
+                                fused_at(L, 0, s) + c, nullptr, nullptr, nullptr,
+                                dl.bs, nb, pairs, colb.ca.data(), colb.cb.data(),
+                                colb.synth_taps(), colb.synthesis_offset,
+                                rowlo + c, dl.hc);
+              k.select_synth_ml(fused_at(L, 1, s) + c, nullptr, nullptr, nullptr,
+                                fused_at(L, 2, s) + c, nullptr, nullptr, nullptr,
+                                dl.bs, nb, pairs, colb.ca.data(), colb.cb.data(),
+                                colb.synth_taps(), colb.synthesis_offset,
+                                rowhi + c, dl.hc);
             }
-            simd::transpose_f32(tslab_lo, nb, dl.rp, dl.rp, rowlo + c, cp2);
-            simd::transpose_f32(tslab_hi, nb, dl.rp, dl.rp, rowhi + c, cp2);
           }
         };
-        run_span(pool, cp2, col_block);
+        run_span(pool, blocks_of(dl.hc), col_block);
 
-        // Row synthesis back to the padded plane of this level.
+        // Row synthesis back to the padded plane of this level: the tiled
+        // path's wrap fill, then the multi-line synthesis kernel.
+        const int ext_stride = align16(dl.cp + rowb.synth_taps());
         auto row_block = [&](int r0, int r1) {
+          ArenaScope scratch;
+          float* ext = scratch.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
           for (int r = r0; r < r1; r += kLineBlock) {
             const int nb = std::min(kLineBlock, r1 - r);
-            k.select_synth_ml(rowlo + static_cast<size_t>(r) * cp2, nullptr,
-                              nullptr, nullptr,
-                              rowhi + static_cast<size_t>(r) * cp2, nullptr,
-                              nullptr, nullptr, cp2, nb, cp2, rowb->ca.data(),
-                              rowb->cb.data(), rowb->synth_taps(),
-                              rowb->synthesis_offset,
-                              padded + static_cast<size_t>(r) * dl.cp, dl.cp);
+            for (int l = 0; l < nb; ++l) {
+              const size_t row = static_cast<size_t>(r + l) * dl.hc;
+              detail::fill_synthesis_ext(rowb, rowlo + row, rowhi + row, dl.cp,
+                                         ext + static_cast<size_t>(l) * ext_stride);
+            }
+            k.synthesize_ml(ext, ext_stride, nb, dl.hc, rowb.ca.data(),
+                            rowb.cb.data(), rowb.synth_taps(),
+                            padded + static_cast<size_t>(r) * dl.cp, dl.cp);
           }
         };
         run_span(pool, dl.rp, row_block);
 
         if (L > 0) {
-          // Crop to this level's pre-padding dims and transpose so the next
-          // (shallower) level's column pass reads contiguous lines.
-          simd::transpose_f32(padded, dl.r, dl.c, dl.cp, t_next, dl.r);
-          t_cur = t_next;
+          ll_in = padded;
         } else {
           float* dst = recon[s == 0 ? kPairRe[p] : kPairIm[p]];
           for (int r = 0; r < rows_; ++r) {

@@ -15,13 +15,20 @@
 //     (KernelSet::analyze_mag_ml), and at the deepest level the select rule
 //     is deferred into the inverse synthesis read (select_synth_ml), so the
 //     pass count over band data drops from ~10 to ~3 per frame pair;
-//   * all scratch comes from the per-thread arena; fused bands are stored
-//     transposed so the inverse column pass reads them with no extra
-//     transpose.
+//   * every plane stays row-major end to end and the plan has no
+//     transposes: the column passes run lane-interleaved (kernels.h) over
+//     blocks of kLineBlock image columns, reading each column's periodic
+//     extension straight out of an extended row-pass plane (the row pass
+//     output with its wrapped rows copied above and below) and writing the
+//     row-major band planes; the lowpass plane is padded in place for the
+//     next level, and the inverse reads the deeper level's reconstruction
+//     by stride;
+//   * all scratch comes from the per-thread arena.
 //
-// Bit-identity is by construction, not by tolerance: every line flows through
-// the same single-line kernel flavour with the same extended samples as the
-// staged path (the fused kernels delegate per line — see kernels.h), the
+// Bit-identity is by construction, not by tolerance: every line sees the same
+// extended samples as in the staged path and every output is computed in the
+// scalar kernels' order (lane-interleaved kernels vectorize across lines, not
+// along them — see kernels.h), the
 // reconstruction accumulates trees in the same order, and the filter's
 // account_*/barrier() bookkeeping is replayed serially afterwards in the
 // exact canonical sequence the staged path emits (forward A trees 0-3,
@@ -50,6 +57,7 @@ class FusionPlan {
     std::function<void()> before_inverse;
   };
 
+  // Aborts (in every build type) on empty dims or zero levels.
   FusionPlan(int rows, int cols, const TransformConfig& config);
 
   // The plan handles splittable filters (numerics expressible as a
@@ -59,7 +67,9 @@ class FusionPlan {
                          const LineFilter& filter);
 
   // Fuse one frame pair. Numerics first (pool-parallel over line blocks when
-  // the filter has a pool), then the serial accounting replay.
+  // the filter has a pool), then the serial accounting replay. Frames that
+  // do not match the plan's dims, or a non-splittable filter, abort with a
+  // message in every build type.
   image::ImageF run(const image::ImageF& a, const image::ImageF& b,
                     LineFilter& filter, const StageHooks& hooks = {}) const;
 
@@ -68,7 +78,9 @@ class FusionPlan {
   // stays cache-resident is not charged). `staged_bytes` models the kTiled
   // layout, `fused_bytes` this plan; `flops` counts the transform MACs (x2)
   // plus the fusion-rule ops, for arithmetic-intensity reporting in
-  // bench_pipeline --json.
+  // bench_pipeline --json. `fused_bytes` still charges the plane transposes
+  // the plan ran before its column passes went lane-interleaved; it is kept
+  // as is so the drift-gated transform_traffic baseline does not move.
   struct Traffic {
     double staged_bytes = 0.0;
     double fused_bytes = 0.0;
@@ -81,6 +93,12 @@ class FusionPlan {
     int r, c;    // pre-padding input dims of this level
     int rp, cp;  // padded (even) dims
     int hr, hc;  // subband dims (rp/2, cp/2)
+    int bs;      // row stride of the band planes: the next level's cp
+                 // (hc at the deepest level)
+    int lead;      // extended row-pass planes: row pass output starts here,
+    int ext_rows;  // rows in all, including the periodic extension;
+    int skip[2];   // first row the column bank of tree t reads
+    int strip;     // column-pass output rows per strip
   };
 
   int rows_ = 0, cols_ = 0;

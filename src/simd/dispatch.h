@@ -2,8 +2,9 @@
 // family, selectable between the scalar / simd / autovec flavours.
 //
 // The default set is "simd" — bit-identical to scalar (kernels.cpp keeps the
-// scalar accumulation order in every ISA path), so flipping the dispatch
-// never changes any modeled or fused output. "autovec" is an explicit
+// scalar accumulation order in every ISA path, including the AVX2 instance
+// of the fused kernels it picks at run time on hosts that have it), so
+// flipping the dispatch never changes any modeled or fused output. "autovec" is an explicit
 // opt-in (bench --kernels autovec): it is within 1 ulp of scalar but not
 // guaranteed bit-identical on every compiler, so it must never become the
 // silent default underneath the determinism tests.
@@ -48,9 +49,14 @@ struct KernelSet {
                     float* out_im, int out_stride);
   // Fused cross-stage forms (kernels.h): forward column analysis + complex
   // magnitude in one walk, and magnitude select + inverse synthesis in one
-  // walk. Per line they delegate to the single-line flavours above, so the
-  // band-streaming plan (src/fusion/fused_plan.cpp) inherits the same
-  // bit-identity/1-ulp contract as the staged path.
+  // walk. LANE-INTERLEAVED, unlike the entries above: up to
+  // kMaxLinesPerCall image columns per call, sample j of line l at
+  // x[j * stride + l], only the nlines live lanes read and stored. Each lane
+  // keeps the scalar kernels' per-output order, so the band-streaming plan
+  // (src/fusion/fused_plan.cpp) inherits the same bit-identity/1-ulp
+  // contract as the staged path. nlines, out_len/pairs and taps mean what
+  // they mean for analyze_ml/synthesize_ml, so flop and line counts of a
+  // call carry over.
   void (*analyze_mag_ml)(const float* x_re, const float* x_im, int x_stride,
                          int nlines, int out_len, const float* lp_re,
                          const float* hp_re, const float* lp_im,

@@ -17,18 +17,15 @@
 #include <arm_neon.h>
 #define VF_SIMD_NEON 1
 #endif
+// The lane-interleaved fused kernels also get an AVX2 instantiation on x86,
+// compiled with a function target attribute (no global -mavx2) and selected
+// at run time, so the binary still runs on SSE2-only hosts.
+#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define VF_LANES_AVX2 1
+#endif
 
 namespace vf::simd {
-
-const char* simd_isa_name() {
-#if defined(VF_SIMD_SSE2)
-  return "sse2";
-#elif defined(VF_SIMD_NEON)
-  return "neon";
-#else
-  return "blocked";
-#endif
-}
 
 namespace {
 
@@ -387,39 +384,14 @@ void select_by_magnitude_simd(const float* a_re, const float* a_im, const float*
 }
 
 // --- select_half -------------------------------------------------------------
-// One component of select_by_magnitude. The fused synthesis kernel selects
-// the lo and hi streams of a line independently, so it needs the single-
-// plane form; it is pure data movement and chunk-invariant per element, so
-// selecting a stream line-by-line produces the same bits as the staged
-// whole-plane select.
+// One component of select_by_magnitude: the fused synthesis kernel selects
+// the lo and hi streams of a line independently. Pure data movement and
+// chunk-invariant per element, so selecting a stream lane by lane produces
+// the same bits as the staged whole-plane select.
 
 void select_half_scalar(const float* a, const float* b, const float* mag_a,
                         const float* mag_b, int n, float* out) {
   for (int i = 0; i < n; ++i) {
-    out[i] = mag_a[i] >= mag_b[i] ? a[i] : b[i];
-  }
-}
-
-void select_half_simd(const float* a, const float* b, const float* mag_a,
-                      const float* mag_b, int n, float* out) {
-  // Bitwise select, like select_by_magnitude_simd: the output is one of the
-  // two inputs verbatim, so sign bits survive.
-  int i = 0;
-#if defined(VF_SIMD_SSE2)
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    const __m128 take_a =
-        _mm_cmpge_ps(_mm_loadu_ps(mag_a + i), _mm_loadu_ps(mag_b + i));
-    _mm_storeu_ps(out + i, _mm_or_ps(_mm_and_ps(take_a, _mm_loadu_ps(a + i)),
-                                     _mm_andnot_ps(take_a, _mm_loadu_ps(b + i))));
-  }
-#elif defined(VF_SIMD_NEON)
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    const uint32x4_t take_a =
-        vcgeq_f32(vld1q_f32(mag_a + i), vld1q_f32(mag_b + i));
-    vst1q_f32(out + i, vbslq_f32(take_a, vld1q_f32(a + i), vld1q_f32(b + i)));
-  }
-#endif
-  for (; i < n; ++i) {
     out[i] = mag_a[i] >= mag_b[i] ? a[i] : b[i];
   }
 }
@@ -577,102 +549,265 @@ void select_by_magnitude_ml_autovec(const float* a_re, const float* a_im,
   }
 }
 
-// --- fused cross-stage kernels ----------------------------------------------
+// --- fused cross-stage kernels (lane-interleaved) ---------------------------
 //
-// Same per-line delegation contract as the _ml variants: every fused call is
-// a sequence of single-line calls of ONE flavour, in the order the staged
-// path would have made them for that line. The fusion earns its keep by
-// keeping the just-produced subband line in cache for the magnitude (forward)
-// or by never spilling the selected line before synthesis (inverse) — it
-// never reorders arithmetic. The autovec instantiations delegate to the
-// certified loops in kernels_autovec.cpp; the dispatch loops themselves live
-// here for the same reason the autovec _ml wrappers do.
+// Lane l of every call is one image column: sample j at x[j*stride + l].
+// The scalar flavour is plain lane loops (and perfbench's reference); the
+// simd flavour is lane_kernels.inc instantiated per instruction set below.
 
 namespace {
 
-// Scratch for the fused select+synthesize kernel: the selected lo/hi halves
-// of one line plus its interleaved periodic extension. Separate from
-// g_phase_scratch, which the simd synthesis primitive consumes underneath.
-thread_local std::vector<float> g_fused_scratch;
+constexpr int kLanes = kMaxLinesPerCall;
 
-using AnalyzeFn = void (*)(const float*, int, const float*, const float*, int,
-                           float*, float*);
-using MagFn = void (*)(const float*, const float*, int, float*);
-using HalfSelectFn = void (*)(const float*, const float*, const float*,
-                              const float*, int, float*);
-using IleaveFn = void (*)(const float*, int, const float*, const float*, int,
-                          float*);
+// Per-thread scratch of the fused kernels: the extension slab of a synthesis
+// call. Grows to the largest call, then stays (no steady-state allocation).
+thread_local std::vector<float> g_lane_scratch;
 
-template <AnalyzeFn kAnalyze, MagFn kMag>
-void analyze_mag_ml_impl(const float* x_re, const float* x_im, int x_stride,
-                         int nlines, int out_len, const float* lp_re,
-                         const float* hp_re, const float* lp_im,
-                         const float* hp_im, int taps, float* lo_re,
-                         float* hi_re, float* lo_im, float* hi_im,
-                         float* mag_lo, float* mag_hi, int out_stride) {
-  for (int l = 0; l < nlines; ++l) {
-    const int o = l * out_stride;
-    kAnalyze(x_re + l * x_stride, out_len, lp_re, hp_re, taps, lo_re + o,
-             hi_re + o);
-    kAnalyze(x_im + l * x_stride, out_len, lp_im, hp_im, taps, lo_im + o,
-             hi_im + o);
-    if (mag_lo != nullptr) kMag(lo_re + o, lo_im + o, out_len, mag_lo + o);
-    if (mag_hi != nullptr) kMag(hi_re + o, hi_im + o, out_len, mag_hi + o);
+float* lane_scratch(std::size_t n) {
+  if (g_lane_scratch.size() < n) g_lane_scratch.resize(n);
+  return g_lane_scratch.data();
+}
+
+// Partial-lane load/store through a stack row, for the vector types that
+// have no masked load/store: only the first n floats at p are touched.
+template <class V>
+V load_n_via_row(const float* p, int n) {
+  alignas(32) float row[kLanes] = {};
+  for (int l = 0; l < kLanes; ++l) {
+    if (l < n) row[l] = p[l];
+  }
+  return V::load(row);
+}
+
+template <class V>
+void store_n_via_row(const V& v, float* p, int n) {
+  alignas(32) float row[kLanes];
+  v.store(row);
+  for (int l = 0; l < kLanes; ++l) {
+    if (l < n) p[l] = row[l];
   }
 }
 
-template <HalfSelectFn kSelect, IleaveFn kIleave>
-void select_synth_ml_impl(const float* lo_a, const float* lo_b,
-                          const float* mlo_a, const float* mlo_b,
-                          const float* hi_a, const float* hi_b,
-                          const float* mhi_a, const float* mhi_b, int in_stride,
-                          int nlines, int pairs, const float* ca,
-                          const float* cb, int taps, int synth_offset,
-                          float* out, int out_stride) {
-  const int n = 2 * pairs;
-  if (n <= 0) return;
-  const int ext_len = n + taps;
-  if (static_cast<int>(g_fused_scratch.size()) < 2 * n + ext_len) {
-    g_fused_scratch.resize(2 * n + ext_len);
+// Portable 8-lane vector: plain per-lane loops the compiler may vectorize.
+struct PortableV {
+  static constexpr int kUnroll = 1;
+  float f[kLanes];
+  static PortableV zero() { return set1(0.0f); }
+  static PortableV set1(float x) {
+    PortableV v;
+    for (float& e : v.f) e = x;
+    return v;
   }
-  float* sel_lo = g_fused_scratch.data();
-  float* sel_hi = sel_lo + pairs;
-  float* z = sel_hi + pairs;  // the interleaved lo/hi stream, pre-rotation
-  float* ext = z + n;
-  // fill_synthesis_ext's wrap counter (dwt_fusion.cpp): ext[k] is sample
-  // (k - synth_offset) mod n of the interleaved lo/hi stream. Materializing
-  // the stream once and rotating it with memcpy is pure data movement — the
-  // same bytes land in ext as the per-sample wrap walk would place.
-  const int start = ((-synth_offset) % n + n) % n;
-  for (int l = 0; l < nlines; ++l) {
-    const float* lo = lo_a + l * in_stride;
-    if (lo_b != nullptr) {
-      kSelect(lo, lo_b + l * in_stride, mlo_a + l * in_stride,
-              mlo_b + l * in_stride, pairs, sel_lo);
-      lo = sel_lo;
-    }
-    const float* hi = hi_a + l * in_stride;
-    if (hi_b != nullptr) {
-      kSelect(hi, hi_b + l * in_stride, mhi_a + l * in_stride,
-              mhi_b + l * in_stride, pairs, sel_hi);
-      hi = sel_hi;
-    }
-    for (int i = 0; i < pairs; ++i) {
-      z[2 * i] = lo[i];
-      z[2 * i + 1] = hi[i];
-    }
-    int k = n - start;
-    std::memcpy(ext, z + start, static_cast<size_t>(k) * sizeof(float));
-    while (k < ext_len) {
-      const int chunk = std::min(n, ext_len - k);
-      std::memcpy(ext + k, z, static_cast<size_t>(chunk) * sizeof(float));
-      k += chunk;
-    }
-    kIleave(ext, pairs, ca, cb, taps, out + l * out_stride);
+  static PortableV load(const float* p) {
+    PortableV v;
+    std::memcpy(v.f, p, sizeof(v.f));
+    return v;
   }
+  void store(float* p) const { std::memcpy(p, f, sizeof(f)); }
+  static PortableV load_n(const float* p, int n) {
+    return load_n_via_row<PortableV>(p, n);
+  }
+  void store_n(float* p, int n) const { store_n_via_row(*this, p, n); }
+  PortableV operator+(const PortableV& b) const {
+    PortableV v;
+    for (int l = 0; l < kLanes; ++l) v.f[l] = f[l] + b.f[l];
+    return v;
+  }
+  PortableV operator*(const PortableV& b) const {
+    PortableV v;
+    for (int l = 0; l < kLanes; ++l) v.f[l] = f[l] * b.f[l];
+    return v;
+  }
+  static PortableV sqrt(const PortableV& a) {
+    PortableV v;
+    for (int l = 0; l < kLanes; ++l) v.f[l] = std::sqrt(a.f[l]);
+    return v;
+  }
+  static PortableV select_ge(const PortableV& ma, const PortableV& mb,
+                             const PortableV& a, const PortableV& b) {
+    PortableV v;
+    for (int l = 0; l < kLanes; ++l) v.f[l] = ma.f[l] >= mb.f[l] ? a.f[l] : b.f[l];
+    return v;
+  }
+};
+
+namespace lanes_portable {
+using V = PortableV;
+#include "src/simd/lane_kernels.inc"
+}  // namespace lanes_portable
+
+#if defined(VF_SIMD_SSE2)
+// Two __m128 halves. cmpge is false on NaN, like the scalar >=, and the
+// select is bitwise, so sign bits survive.
+struct Sse2V {
+  static constexpr int kUnroll = 1;
+  __m128 lo, hi;
+  static Sse2V zero() { return {_mm_setzero_ps(), _mm_setzero_ps()}; }
+  static Sse2V set1(float x) {
+    const __m128 v = _mm_set1_ps(x);
+    return {v, v};
+  }
+  static Sse2V load(const float* p) { return {_mm_loadu_ps(p), _mm_loadu_ps(p + 4)}; }
+  void store(float* p) const {
+    _mm_storeu_ps(p, lo);
+    _mm_storeu_ps(p + 4, hi);
+  }
+  static Sse2V load_n(const float* p, int n) { return load_n_via_row<Sse2V>(p, n); }
+  void store_n(float* p, int n) const { store_n_via_row(*this, p, n); }
+  Sse2V operator+(Sse2V b) const { return {_mm_add_ps(lo, b.lo), _mm_add_ps(hi, b.hi)}; }
+  Sse2V operator*(Sse2V b) const { return {_mm_mul_ps(lo, b.lo), _mm_mul_ps(hi, b.hi)}; }
+  static Sse2V sqrt(Sse2V a) { return {_mm_sqrt_ps(a.lo), _mm_sqrt_ps(a.hi)}; }
+  static __m128 pick(__m128 m, __m128 a, __m128 b) {
+    return _mm_or_ps(_mm_and_ps(m, a), _mm_andnot_ps(m, b));
+  }
+  static Sse2V select_ge(Sse2V ma, Sse2V mb, Sse2V a, Sse2V b) {
+    return {pick(_mm_cmpge_ps(ma.lo, mb.lo), a.lo, b.lo),
+            pick(_mm_cmpge_ps(ma.hi, mb.hi), a.hi, b.hi)};
+  }
+};
+
+namespace lanes_sse2 {
+using V = Sse2V;
+#include "src/simd/lane_kernels.inc"
+}  // namespace lanes_sse2
+#elif defined(VF_SIMD_NEON)
+// Two float32x4_t halves; vmulq + vaddq stay separately rounded.
+struct NeonV {
+  static constexpr int kUnroll = 1;
+  float32x4_t lo, hi;
+  static NeonV zero() { return set1(0.0f); }
+  static NeonV set1(float x) {
+    const float32x4_t v = vdupq_n_f32(x);
+    return {v, v};
+  }
+  static NeonV load(const float* p) { return {vld1q_f32(p), vld1q_f32(p + 4)}; }
+  void store(float* p) const {
+    vst1q_f32(p, lo);
+    vst1q_f32(p + 4, hi);
+  }
+  static NeonV load_n(const float* p, int n) { return load_n_via_row<NeonV>(p, n); }
+  void store_n(float* p, int n) const { store_n_via_row(*this, p, n); }
+  NeonV operator+(NeonV b) const { return {vaddq_f32(lo, b.lo), vaddq_f32(hi, b.hi)}; }
+  NeonV operator*(NeonV b) const { return {vmulq_f32(lo, b.lo), vmulq_f32(hi, b.hi)}; }
+  static NeonV sqrt(NeonV a) {
+#if defined(__aarch64__)
+    return {vsqrtq_f32(a.lo), vsqrtq_f32(a.hi)};
+#else
+    // ARMv7 NEON has only the reciprocal-sqrt estimate: go lane by lane.
+    alignas(16) float f[kLanes];
+    a.store(f);
+    for (float& e : f) e = std::sqrt(e);
+    return load(f);
+#endif
+  }
+  static NeonV select_ge(NeonV ma, NeonV mb, NeonV a, NeonV b) {
+    return {vbslq_f32(vcgeq_f32(ma.lo, mb.lo), a.lo, b.lo),
+            vbslq_f32(vcgeq_f32(ma.hi, mb.hi), a.hi, b.hi)};
+  }
+};
+
+namespace lanes_neon {
+using V = NeonV;
+#include "src/simd/lane_kernels.inc"
+}  // namespace lanes_neon
+#endif
+
+#if defined(VF_LANES_AVX2)
+// One __m256. Everything from here to the matching pop is compiled with
+// target("avx2") — never "fma", so products and sums stay separately
+// rounded — and only runs after __builtin_cpu_supports("avx2").
+#if defined(__clang__)
+#pragma clang attribute push(__attribute__((target("avx2"))), apply_to = function)
+#else
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#endif
+struct Avx2V {
+  static constexpr int kUnroll = 2;
+  __m256 v;
+  static Avx2V zero() { return {_mm256_setzero_ps()}; }
+  static Avx2V set1(float x) { return {_mm256_set1_ps(x)}; }
+  static Avx2V load(const float* p) { return {_mm256_loadu_ps(p)}; }
+  void store(float* p) const { _mm256_storeu_ps(p, v); }
+  // Masked lanes are neither read (no fault, loaded as +0.0f) nor written.
+  static __m256i first(int n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static Avx2V load_n(const float* p, int n) {
+    return {_mm256_maskload_ps(p, first(n))};
+  }
+  void store_n(float* p, int n) const { _mm256_maskstore_ps(p, first(n), v); }
+  // Member operators: GCC does not apply a target pragma to in-class
+  // friend definitions.
+  Avx2V operator+(Avx2V b) const { return {_mm256_add_ps(v, b.v)}; }
+  Avx2V operator*(Avx2V b) const { return {_mm256_mul_ps(v, b.v)}; }
+  static Avx2V sqrt(Avx2V a) { return {_mm256_sqrt_ps(a.v)}; }
+  static Avx2V select_ge(Avx2V ma, Avx2V mb, Avx2V a, Avx2V b) {
+    return {_mm256_blendv_ps(b.v, a.v, _mm256_cmp_ps(ma.v, mb.v, _CMP_GE_OQ))};
+  }
+};
+
+namespace lanes_avx2 {
+using V = Avx2V;
+#include "src/simd/lane_kernels.inc"
+}  // namespace lanes_avx2
+#if defined(__clang__)
+#pragma clang attribute pop
+#else
+#pragma GCC pop_options
+#endif
+
+bool host_has_avx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") != 0;
+}
+#endif
+
+// The instantiation the *_simd entry points run: the last runnable one.
+const LaneKernelVariant& best_lane_kernels() {
+  static const LaneKernelVariant* const best = [] {
+    int n = 0;
+    const LaneKernelVariant* v = lane_kernel_variants(&n);
+    const LaneKernelVariant* pick = v;
+    for (int i = 0; i < n; ++i) {
+      if (v[i].runnable) pick = v + i;
+    }
+    return pick;
+  }();
+  return *best;
 }
 
 }  // namespace
+
+const LaneKernelVariant* lane_kernel_variants(int* count) {
+  static const LaneKernelVariant variants[] = {
+      {"portable", true, lanes_portable::analyze_mag_ml,
+       lanes_portable::select_synth_ml},
+#if defined(VF_SIMD_SSE2)
+      {"sse2", true, lanes_sse2::analyze_mag_ml, lanes_sse2::select_synth_ml},
+#elif defined(VF_SIMD_NEON)
+      {"neon", true, lanes_neon::analyze_mag_ml, lanes_neon::select_synth_ml},
+#endif
+#if defined(VF_LANES_AVX2)
+      {"avx2", host_has_avx2(), lanes_avx2::analyze_mag_ml,
+       lanes_avx2::select_synth_ml},
+#endif
+  };
+  *count = static_cast<int>(sizeof(variants) / sizeof(variants[0]));
+  return variants;
+}
+
+const char* simd_isa_name() {
+  const bool avx2 = std::strcmp(best_lane_kernels().isa, "avx2") == 0;
+#if defined(VF_SIMD_SSE2)
+  return avx2 ? "sse2+avx2" : "sse2";
+#elif defined(VF_SIMD_NEON)
+  return "neon";
+#else
+  return avx2 ? "blocked+avx2" : "blocked";
+#endif
+}
 
 void analyze_mag_ml_scalar(const float* x_re, const float* x_im, int x_stride,
                            int nlines, int out_len, const float* lp_re,
@@ -680,9 +815,25 @@ void analyze_mag_ml_scalar(const float* x_re, const float* x_im, int x_stride,
                            const float* hp_im, int taps, float* lo_re,
                            float* hi_re, float* lo_im, float* hi_im,
                            float* mag_lo, float* mag_hi, int out_stride) {
-  analyze_mag_ml_impl<dual_corr_decimate2_scalar, complex_magnitude_scalar>(
-      x_re, x_im, x_stride, nlines, out_len, lp_re, hp_re, lp_im, hp_im, taps,
-      lo_re, hi_re, lo_im, hi_im, mag_lo, mag_hi, out_stride);
+  for (int l = 0; l < nlines; ++l) {
+    for (int i = 0; i < out_len; ++i) {
+      float acc_lr = 0.0f, acc_hr = 0.0f, acc_li = 0.0f, acc_hi = 0.0f;
+      for (int t = 0; t < taps; ++t) {
+        const std::size_t j = static_cast<std::size_t>(2 * i + t) * x_stride + l;
+        acc_lr += lp_re[t] * x_re[j];
+        acc_hr += hp_re[t] * x_re[j];
+        acc_li += lp_im[t] * x_im[j];
+        acc_hi += hp_im[t] * x_im[j];
+      }
+      const std::size_t o = static_cast<std::size_t>(i) * out_stride + l;
+      lo_re[o] = acc_lr;
+      hi_re[o] = acc_hr;
+      lo_im[o] = acc_li;
+      hi_im[o] = acc_hi;
+      if (mag_lo != nullptr) mag_lo[o] = std::sqrt(acc_lr * acc_lr + acc_li * acc_li);
+      if (mag_hi != nullptr) mag_hi[o] = std::sqrt(acc_hr * acc_hr + acc_hi * acc_hi);
+    }
+  }
 }
 
 void analyze_mag_ml_simd(const float* x_re, const float* x_im, int x_stride,
@@ -691,20 +842,10 @@ void analyze_mag_ml_simd(const float* x_re, const float* x_im, int x_stride,
                          const float* hp_im, int taps, float* lo_re,
                          float* hi_re, float* lo_im, float* hi_im,
                          float* mag_lo, float* mag_hi, int out_stride) {
-  analyze_mag_ml_impl<dual_corr_decimate2_simd, complex_magnitude_simd>(
-      x_re, x_im, x_stride, nlines, out_len, lp_re, hp_re, lp_im, hp_im, taps,
-      lo_re, hi_re, lo_im, hi_im, mag_lo, mag_hi, out_stride);
-}
-
-void analyze_mag_ml_autovec(const float* x_re, const float* x_im, int x_stride,
-                            int nlines, int out_len, const float* lp_re,
-                            const float* hp_re, const float* lp_im,
-                            const float* hp_im, int taps, float* lo_re,
-                            float* hi_re, float* lo_im, float* hi_im,
-                            float* mag_lo, float* mag_hi, int out_stride) {
-  analyze_mag_ml_impl<dual_corr_decimate2_autovec, complex_magnitude_autovec>(
-      x_re, x_im, x_stride, nlines, out_len, lp_re, hp_re, lp_im, hp_im, taps,
-      lo_re, hi_re, lo_im, hi_im, mag_lo, mag_hi, out_stride);
+  best_lane_kernels().analyze_mag_ml(x_re, x_im, x_stride, nlines, out_len,
+                                     lp_re, hp_re, lp_im, hp_im, taps, lo_re,
+                                     hi_re, lo_im, hi_im, mag_lo, mag_hi,
+                                     out_stride);
 }
 
 void select_synth_ml_scalar(const float* lo_a, const float* lo_b,
@@ -714,9 +855,31 @@ void select_synth_ml_scalar(const float* lo_a, const float* lo_b,
                             int in_stride, int nlines, int pairs,
                             const float* ca, const float* cb, int taps,
                             int synth_offset, float* out, int out_stride) {
-  select_synth_ml_impl<select_half_scalar, dual_corr_decimate2_ileave_scalar>(
-      lo_a, lo_b, mlo_a, mlo_b, hi_a, hi_b, mhi_a, mhi_b, in_stride, nlines,
-      pairs, ca, cb, taps, synth_offset, out, out_stride);
+  const int n = 2 * pairs;
+  if (n <= 0) return;
+  float* ext = lane_scratch(static_cast<std::size_t>(n + taps));
+  for (int l = 0; l < nlines; ++l) {
+    int src = ((-synth_offset) % n + n) % n;
+    for (int k = 0; k < n + taps; ++k) {
+      const std::size_t j = static_cast<std::size_t>(src >> 1) * in_stride + l;
+      const bool odd = (src & 1) != 0;
+      const float* a = odd ? hi_a : lo_a;
+      const float* b = odd ? hi_b : lo_b;
+      const float* ma = odd ? mhi_a : mlo_a;
+      const float* mb = odd ? mhi_b : mlo_b;
+      ext[k] = b == nullptr || ma[j] >= mb[j] ? a[j] : b[j];
+      if (++src == n) src = 0;
+    }
+    for (int k = 0; k < pairs; ++k) {
+      float acc_a = 0.0f, acc_b = 0.0f;
+      for (int t = 0; t < taps; ++t) {
+        acc_a += ca[t] * ext[2 * k + t];
+        acc_b += cb[t] * ext[2 * k + t];
+      }
+      out[static_cast<std::size_t>(2 * k) * out_stride + l] = acc_a;
+      out[static_cast<std::size_t>(2 * k + 1) * out_stride + l] = acc_b;
+    }
+  }
 }
 
 void select_synth_ml_simd(const float* lo_a, const float* lo_b,
@@ -726,21 +889,9 @@ void select_synth_ml_simd(const float* lo_a, const float* lo_b,
                           int in_stride, int nlines, int pairs, const float* ca,
                           const float* cb, int taps, int synth_offset,
                           float* out, int out_stride) {
-  select_synth_ml_impl<select_half_simd, dual_corr_decimate2_ileave_simd>(
-      lo_a, lo_b, mlo_a, mlo_b, hi_a, hi_b, mhi_a, mhi_b, in_stride, nlines,
-      pairs, ca, cb, taps, synth_offset, out, out_stride);
-}
-
-void select_synth_ml_autovec(const float* lo_a, const float* lo_b,
-                             const float* mlo_a, const float* mlo_b,
-                             const float* hi_a, const float* hi_b,
-                             const float* mhi_a, const float* mhi_b,
-                             int in_stride, int nlines, int pairs,
-                             const float* ca, const float* cb, int taps,
-                             int synth_offset, float* out, int out_stride) {
-  select_synth_ml_impl<select_half_autovec, dual_corr_decimate2_ileave_autovec>(
-      lo_a, lo_b, mlo_a, mlo_b, hi_a, hi_b, mhi_a, mhi_b, in_stride, nlines,
-      pairs, ca, cb, taps, synth_offset, out, out_stride);
+  best_lane_kernels().select_synth_ml(lo_a, lo_b, mlo_a, mlo_b, hi_a, hi_b,
+                                      mhi_a, mhi_b, in_stride, nlines, pairs, ca,
+                                      cb, taps, synth_offset, out, out_stride);
 }
 
 // --- transpose --------------------------------------------------------------

@@ -34,8 +34,10 @@ namespace vf::simd {
 
 inline constexpr int kSimdLanes = 4;
 
-// Instruction set the *_simd kernels compiled to: "sse2", "neon", or
-// "blocked" (portable 4-lane fallback).
+// Instruction set the *_simd kernels run: "sse2", "neon", or "blocked"
+// (portable 4-lane fallback), with "+avx2" appended when the lane-
+// interleaved fused kernels dispatch to their AVX2 instantiation (x86 hosts
+// that support it), e.g. "sse2+avx2".
 const char* simd_isa_name();
 
 // --- analysis: dual correlation + decimate by 2 -----------------------------
@@ -89,7 +91,8 @@ void average_autovec(const float* a, const float* b, int n, float* out);
 // over a block of lines the caller laid out back-to-back (the cache-blocked
 // transpose in dwt_fusion.cpp produces exactly that layout for column
 // filtering). kMaxLinesPerCall bounds the batch so a block of extended
-// lines stays inside L1.
+// lines stays inside L1; it is also the lane width of the lane-interleaved
+// fused kernels below (one AVX2 register, two SSE2/NEON registers).
 inline constexpr int kMaxLinesPerCall = 8;
 
 void dual_corr_decimate2_ml_scalar(const float* x, int x_stride, int nlines,
@@ -139,31 +142,45 @@ void select_by_magnitude_ml_autovec(const float* a_re, const float* a_im,
 //
 // The fused host plan (src/fusion/fused_plan.cpp) collapses the forward
 // column pass + magnitude, and the select rule + inverse synthesis, into one
-// walk over each band block while it is still hot in cache. Per line these
-// kernels delegate to the SAME single-line flavour primitives above — that is
-// the contract, not an implementation shortcut: it pins the arithmetic order
-// so the fused plan is bit-identical to the staged path in every flavour.
+// walk over each block of image columns. Both kernels are LANE-INTERLEAVED:
+// they filter up to kMaxLinesPerCall image columns at once, straight out of
+// the row-major planes, with no transpose.
+//
+//   layout:  sample j of line (lane) l sits at x[j * stride + l], for every
+//            input and output plane; exactly the nlines <= kMaxLinesPerCall
+//            live lanes are read and stored, so a block's right neighbour in
+//            the plane is never touched;
+//   order:   lane l computes each of its outputs in the scalar kernels'
+//            order (taps ascending, each product rounded, then added, no
+//            FMA). Vectorizing ACROSS lines never reorders a sum, so the
+//            simd flavour is bit-identical to scalar with no tail loop;
+//            only a horizontal reduction would have to reorder.
 //
 //   select_half:     out[i] = mag_a[i] >= mag_b[i] ? a[i] : b[i]
-//     (one component of select_by_magnitude — pure data movement, used when
-//      the fused plan selects the lo and hi streams of a synthesis line
-//      independently)
-//   analyze_mag_ml:  per line l: analyze the re-tree line with (lp_re, hp_re)
-//     and the im-tree line with (lp_im, hp_im) — both lines pre-extended, same
-//     stride — then, when mag_lo/mag_hi are non-null, complex_magnitude over
-//     the freshly produced (lo_re, lo_im) / (hi_re, hi_im) pairs.
-//   select_synth_ml: per line l: when the *_b inputs are non-null, half-select
-//     the lo (and independently the hi) stream by magnitude; build the
-//     periodic interleaved extension (the wrap fill of dwt_fusion.cpp's
-//     synthesis path, offset = synth_offset); then one dual_corr ileave pass.
-//     Null *_b means the stream is already fused — taken verbatim.
+//     (one component of select_by_magnitude; the parity tests' oracle for
+//      the select inside select_synth_ml)
+//   analyze_mag_ml:  per lane l: the re-tree line x_re (2*out_len + taps
+//     pre-extended samples) through (lp_re, hp_re) into (lo_re, hi_re), the
+//     im-tree line x_im through (lp_im, hp_im) into (lo_im, hi_im) — the
+//     dual_corr_decimate2 arithmetic — then, when mag_lo/mag_hi are
+//     non-null, complex_magnitude of (lo_re, lo_im) / (hi_re, hi_im).
+//   select_synth_ml: per lane l: when the *_b inputs are non-null, half-
+//     select the lo (and independently the hi) stream by magnitude; build the
+//     periodic interleaved extension ext[k] = z[(k - synth_offset) mod
+//     2*pairs] of z = (lo[0], hi[0], lo[1], hi[1], ...) — the wrap fill of
+//     dwt_fusion.cpp's synthesis path; then the dual_corr ileave arithmetic
+//     into 2*pairs output samples. Null *_b means the stream is already
+//     fused and is taken verbatim.
+//
+// The *_simd entry points run one template over an 8-lane vector type
+// (kernels.cpp, lane_kernels.inc), instantiated for portable code, SSE2 or
+// NEON, and — on x86 — AVX2 built with a target("avx2") attribute and
+// picked once at first use with __builtin_cpu_supports. AVX2 is used without
+// FMA, so products and sums stay separately rounded. *_autovec is a
+// lane-innermost loop for the compiler's vectorizer, within 1 ulp.
 
 void select_half_scalar(const float* a, const float* b, const float* mag_a,
                         const float* mag_b, int n, float* out);
-void select_half_simd(const float* a, const float* b, const float* mag_a,
-                      const float* mag_b, int n, float* out);
-void select_half_autovec(const float* a, const float* b, const float* mag_a,
-                         const float* mag_b, int n, float* out);
 
 void analyze_mag_ml_scalar(const float* x_re, const float* x_im, int x_stride,
                            int nlines, int out_len, const float* lp_re,
@@ -205,6 +222,18 @@ void select_synth_ml_autovec(const float* lo_a, const float* lo_b,
                              int in_stride, int nlines, int pairs,
                              const float* ca, const float* cb, int taps,
                              int synth_offset, float* out, int out_stride);
+
+// Every compiled instantiation of the lane-interleaved simd kernels, in
+// order portable, sse2 | neon, avx2. `runnable` is false for an instantiation
+// the host CPU cannot execute. The *_simd entry points above dispatch to the
+// last runnable one; the parity tests call each instantiation directly.
+struct LaneKernelVariant {
+  const char* isa;
+  bool runnable;
+  decltype(&analyze_mag_ml_scalar) analyze_mag_ml;
+  decltype(&select_synth_ml_scalar) select_synth_ml;
+};
+const LaneKernelVariant* lane_kernel_variants(int* count);
 
 // --- cache-blocked transpose -------------------------------------------------
 //

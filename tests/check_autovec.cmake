@@ -2,11 +2,12 @@
 #
 # Recompiles src/simd/kernels_autovec.cpp exactly as the library does
 # (-O3 -fno-math-errno) with the compiler's vectorization report turned on,
-# then counts distinct vectorized source lines. The file holds 6 kernel
+# then counts distinct vectorized source lines. The file holds 7 kernel
 # families with >= 7 hot loops between them (analyze, synthesize interleave,
-# magnitude, select re/im, half-plane select for the fused synthesis kernel,
-# average); if fewer than 7 loops vectorize, a refactor silently
-# de-vectorized the flavour and this test fails.
+# magnitude, select re/im, average, and the lane-innermost loops of the
+# lane-interleaved analyze+magnitude and select+synthesize kernels); if fewer
+# than 7 loops vectorize, a refactor silently de-vectorized the flavour and
+# this test fails.
 #
 # Invoked by CMakeLists.txt with:
 #   -DCXX_COMPILER=...  -DCXX_COMPILER_ID=GNU|Clang

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/fusion/fuse.h"
+#include "src/fusion/fused_plan.h"
 #include "src/fusion/laplacian.h"
 #include "src/sched/adaptive.h"
 
@@ -82,6 +83,26 @@ TEST(Fusion, BackendsProduceIdenticalFusedOutput) {
   const auto x = rx.run_frame_pair(pairs[0].visible, pairs[0].thermal);
   EXPECT_EQ(0.0, max_abs_diff(a.fused, f.fused));
   EXPECT_EQ(0.0, max_abs_diff(a.fused, x.fused));
+}
+
+// The CMake default is Release, so these checks must hold without assert: a
+// second frame smaller than the first, an empty pair, or a frame that does
+// not match a plan's dims would otherwise be read out of bounds.
+TEST(FuseFramesDeathTest, RejectsMismatchedOrEmptyFramesInEveryBuild) {
+  const ImageF a(8, 8, 0.5f), narrow(8, 6, 0.5f), empty;
+  dwt::SimdLineFilter filter;
+  EXPECT_DEATH(fuse_frames(a, narrow, fusion::FuseConfig{}, filter), "fuse_frames");
+  EXPECT_DEATH(fuse_frames(narrow, a, fusion::FuseConfig{}, filter), "fuse_frames");
+  EXPECT_DEATH(fuse_frames(empty, empty, fusion::FuseConfig{}, filter),
+               "fuse_frames");
+  EXPECT_DEATH(fuse_frames_dwt(a, narrow, fusion::DwtFuseConfig{}, filter),
+               "fuse_frames_dwt");
+  const dwt::FusionPlan plan(8, 8, dwt::TransformConfig{});
+  EXPECT_DEATH(plan.run(a, narrow, filter), "FusionPlan::run");
+  EXPECT_DEATH(plan.run(narrow, narrow, filter), "FusionPlan::run");
+  EXPECT_DEATH(dwt::FusionPlan(0, 8, dwt::TransformConfig{}), "FusionPlan");
+  // Matching frames still fuse.
+  EXPECT_EQ(plan.run(a, a, filter).cols(), 8);
 }
 
 }  // namespace

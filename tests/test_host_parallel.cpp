@@ -224,14 +224,20 @@ const dwt::HostLayout kLayouts[] = {dwt::HostLayout::kNaive,
                                     dwt::HostLayout::kFused};
 
 // The tiled and band-streaming-fused paths are pure layout changes: per-line
-// arithmetic order is pinned by the _ml delegation contract, so fused bits
-// must match the naive per-line path exactly — at sizes that are all tile
-// tail (1xN), straddle the 8x8 tile edge (9x7, 33x25), have odd rows at
-// scale (88x71), and at the paper's largest frame, for every pool width.
+// arithmetic order is pinned by the kernel contracts (the lane-interleaved
+// column kernels keep each column's scalar order), so fused bits must match
+// the naive per-line path exactly — at sizes that are all tile tail (1xN),
+// straddle the 8x8 tile edge (9x7, 33x25), have odd rows at scale (88x71),
+// and at the paper's largest frame, for every pool width. The fused plan
+// filters columns in blocks of 8 lanes: the widths below leave every partial
+// block of 1..7 lanes at some level (2x2 .. 46x38, with odd deep-level
+// dims), and 640x50 splits its level-0 column pass into several row strips.
 TEST(HostLayoutIdentity, AllLayoutsFuseIdenticalBits) {
   LayoutRestore restore;
-  const sched::FrameSize sizes[] = {{9, 7},  {33, 25}, {1, 16},
-                                    {16, 1}, {88, 71}, {88, 72}};
+  const sched::FrameSize sizes[] = {{9, 7},   {33, 25}, {1, 16},  {16, 1},
+                                    {88, 71}, {88, 72}, {2, 2},   {3, 5},
+                                    {18, 14}, {30, 22}, {46, 38}, {32, 24},
+                                    {640, 50}};
   for (const sched::FrameSize& size : sizes) {
     const auto frames = sched::make_sweep_frames(size, 1);
     for (int n : kThreadWidths) {

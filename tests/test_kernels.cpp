@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -310,191 +311,268 @@ TEST_P(MultiLineEquivalence, SelectHalf) {
   const int n = GetParam();
   const auto a = randv(n, 33), b = randv(n, 34);
   const auto mag_a = randv(n, 35), mag_b = randv(n, 36);
-  std::vector<float> out_s(n), out_v(n), out_a(n);
+  std::vector<float> out(n), re(n), im(n);
   simd::select_half_scalar(a.data(), b.data(), mag_a.data(), mag_b.data(), n,
-                           out_s.data());
-  simd::select_half_simd(a.data(), b.data(), mag_a.data(), mag_b.data(), n,
-                         out_v.data());
-  simd::select_half_autovec(a.data(), b.data(), mag_a.data(), mag_b.data(), n,
-                            out_a.data());
-  // Selection copies an input verbatim: bit-exact in every flavour, and each
-  // element must agree with the two-plane select on the same comparison.
-  expect_bit_identical(out_s, out_v, "select_half simd");
-  expect_bit_identical(out_s, out_a, "select_half autovec");
+                           out.data());
+  // Selection copies an input verbatim: each element must be the re half of
+  // the two-plane select on the same comparison.
+  simd::select_by_magnitude_scalar(a.data(), b.data(), b.data(), a.data(),
+                                   mag_a.data(), mag_b.data(), n, re.data(),
+                                   im.data());
+  expect_bit_identical(re, out, "select_half vs select_by_magnitude");
   for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(float_bits(out_s[i]),
-              float_bits(mag_a[i] >= mag_b[i] ? a[i] : b[i]))
+    EXPECT_EQ(float_bits(out[i]), float_bits(mag_a[i] >= mag_b[i] ? a[i] : b[i]))
         << i;
   }
 }
 
-// --- fused cross-stage kernels -----------------------------------------------
+// --- lane-interleaved fused kernels ------------------------------------------
 //
-// Same delegation contract as the plain _ml forms: per line, the fused
-// analyze+magnitude and select+synthesize walks must produce the exact bits
-// of the single-line scalar composition (simd 0 ulp, autovec within 1 ulp on
-// the filtering parts, bit-exact on the selection parts).
+// Contract (kernels.h): sample j of lane l sits at x[j * stride + l], and
+// only the nlines live lanes are read or stored. The oracle gathers each lane
+// into a contiguous line and runs the single-line scalar kernels on it —
+// dual_corr_decimate2 + complex_magnitude for analyze_mag_ml, select_half +
+// the documented wrap + dual_corr_decimate2_ileave for select_synth_ml. The
+// scalar flavour, the simd dispatch and every compiled instantiation
+// (portable, sse2/neon, avx2 where the CPU has it) must match it with 0 ulp;
+// autovec within 1 ulp.
+//
+// Inputs are sized to end exactly at the last live lane, so a full-width
+// load past it trips AddressSanitizer; outputs start as a NaN sentinel and
+// every non-live lane must still hold it.
 
-TEST_P(MultiLineEquivalence, AnalyzeMagMl) {
-  const int out_len = GetParam();
-  for (int nlines : {1, 3, simd::kMaxLinesPerCall}) {
-    const int taps = 14;
-    const int x_stride = 2 * out_len + taps + 2;
-    const auto x_re = randv(nlines * x_stride, 40);
-    const auto x_im = randv(nlines * x_stride, 41);
-    const auto lp_re = randv(taps, 42), hp_re = randv(taps, 43);
-    const auto lp_im = randv(taps, 44), hp_im = randv(taps, 45);
-    const int out_stride = out_len + 1;
-    const int out_total = nlines * out_stride;
-    std::vector<float> lo_re_ref(out_total, 0.0f), hi_re_ref(out_total, 0.0f);
-    std::vector<float> lo_im_ref(out_total, 0.0f), hi_im_ref(out_total, 0.0f);
-    std::vector<float> mag_lo_ref(out_total, 0.0f), mag_hi_ref(out_total, 0.0f);
-    for (int l = 0; l < nlines; ++l) {
-      simd::dual_corr_decimate2_scalar(x_re.data() + l * x_stride, out_len,
-                                       lp_re.data(), hp_re.data(), taps,
-                                       lo_re_ref.data() + l * out_stride,
-                                       hi_re_ref.data() + l * out_stride);
-      simd::dual_corr_decimate2_scalar(x_im.data() + l * x_stride, out_len,
-                                       lp_im.data(), hp_im.data(), taps,
-                                       lo_im_ref.data() + l * out_stride,
-                                       hi_im_ref.data() + l * out_stride);
-      simd::complex_magnitude_scalar(lo_re_ref.data() + l * out_stride,
-                                     lo_im_ref.data() + l * out_stride, out_len,
-                                     mag_lo_ref.data() + l * out_stride);
-      simd::complex_magnitude_scalar(hi_re_ref.data() + l * out_stride,
-                                     hi_im_ref.data() + l * out_stride, out_len,
-                                     mag_hi_ref.data() + l * out_stride);
+using AnalyzeMagFn = decltype(&simd::analyze_mag_ml_scalar);
+using SelectSynthFn = decltype(&simd::select_synth_ml_scalar);
+
+struct FusedFlavour {
+  std::string name;
+  AnalyzeMagFn analyze_mag;
+  SelectSynthFn select_synth;
+  bool exact;
+};
+
+std::vector<FusedFlavour> fused_flavours() {
+  std::vector<FusedFlavour> out = {
+      {"scalar", simd::analyze_mag_ml_scalar, simd::select_synth_ml_scalar, true},
+      {"simd", simd::analyze_mag_ml_simd, simd::select_synth_ml_simd, true},
+      {"autovec", simd::analyze_mag_ml_autovec, simd::select_synth_ml_autovec,
+       false},
+  };
+  int n = 0;
+  const simd::LaneKernelVariant* v = simd::lane_kernel_variants(&n);
+  for (int i = 0; i < n; ++i) {
+    if (v[i].runnable) {
+      out.push_back({std::string("simd/") + v[i].isa, v[i].analyze_mag_ml,
+                     v[i].select_synth_ml, true});
     }
-    struct Flavour {
-      const char* name;
-      decltype(&simd::analyze_mag_ml_scalar) fn;
-      bool exact;
-    };
-    const Flavour flavours[] = {
-        {"scalar", simd::analyze_mag_ml_scalar, true},
-        {"simd", simd::analyze_mag_ml_simd, true},
-        {"autovec", simd::analyze_mag_ml_autovec, false},
-    };
-    for (const Flavour& fl : flavours) {
-      std::vector<float> lo_re(out_total, 0.0f), hi_re(out_total, 0.0f);
-      std::vector<float> lo_im(out_total, 0.0f), hi_im(out_total, 0.0f);
-      std::vector<float> mag_lo(out_total, 0.0f), mag_hi(out_total, 0.0f);
-      fl.fn(x_re.data(), x_im.data(), x_stride, nlines, out_len, lp_re.data(),
-            hp_re.data(), lp_im.data(), hp_im.data(), taps, lo_re.data(),
-            hi_re.data(), lo_im.data(), hi_im.data(), mag_lo.data(),
-            mag_hi.data(), out_stride);
-      auto check = [&](const std::vector<float>& ref, const std::vector<float>& got,
-                       const char* what) {
-        const std::string label = std::string("analyze_mag_ml ") + what + " " + fl.name;
-        if (fl.exact) {
-          expect_bit_identical(ref, got, label.c_str());
-        } else {
-          expect_within_1_ulp(ref, got, label.c_str());
-        }
-      };
-      check(lo_re_ref, lo_re, "lo_re");
-      check(hi_re_ref, hi_re, "hi_re");
-      check(lo_im_ref, lo_im, "lo_im");
-      check(hi_im_ref, hi_im, "hi_im");
-      check(mag_lo_ref, mag_lo, "mag_lo");
-      check(mag_hi_ref, mag_hi, "mag_hi");
-      // Null magnitude outputs: the band outputs must be unaffected.
-      std::vector<float> lo_re2(out_total, 0.0f), hi_re2(out_total, 0.0f);
-      std::vector<float> lo_im2(out_total, 0.0f), hi_im2(out_total, 0.0f);
-      fl.fn(x_re.data(), x_im.data(), x_stride, nlines, out_len, lp_re.data(),
-            hp_re.data(), lp_im.data(), hp_im.data(), taps, lo_re2.data(),
-            hi_re2.data(), lo_im2.data(), hi_im2.data(), nullptr, nullptr,
-            out_stride);
-      expect_bit_identical(lo_re, lo_re2, "analyze_mag_ml lo_re null-mag");
-      expect_bit_identical(hi_im, hi_im2, "analyze_mag_ml hi_im null-mag");
+  }
+  return out;
+}
+
+constexpr float kSentinel = std::numeric_limits<float>::quiet_NaN();
+
+// A lane-interleaved plane of `rows` rows: lane l of row j at j*stride + l,
+// with the buffer ending right after the last live lane.
+std::vector<float> lane_plane(int rows, int stride, int nlines, std::uint64_t seed) {
+  return randv((rows - 1) * stride + nlines, seed);
+}
+
+std::vector<float> gather_lane(const std::vector<float>& plane, int rows,
+                               int stride, int l) {
+  std::vector<float> line(static_cast<std::size_t>(rows));
+  for (int j = 0; j < rows; ++j) {
+    line[static_cast<std::size_t>(j)] = plane[static_cast<std::size_t>(j) * stride + l];
+  }
+  return line;
+}
+
+// Compares the live lanes of `got` with the oracle lines and checks that
+// every other element still holds the sentinel.
+void expect_lanes(const std::vector<std::vector<float>>& ref, int rows,
+                  int stride, const std::vector<float>& got, bool exact,
+                  const std::string& what) {
+  const int nlines = static_cast<int>(ref.size());
+  std::vector<char> live(got.size(), 0);
+  for (int l = 0; l < nlines; ++l) {
+    std::vector<float> lane(static_cast<std::size_t>(rows));
+    for (int j = 0; j < rows; ++j) {
+      const std::size_t at = static_cast<std::size_t>(j) * stride + l;
+      lane[static_cast<std::size_t>(j)] = got[at];
+      live[at] = 1;
+    }
+    const std::string label = what + " lane " + std::to_string(l);
+    if (exact) {
+      expect_bit_identical(ref[static_cast<std::size_t>(l)], lane, label.c_str());
+    } else {
+      expect_within_1_ulp(ref[static_cast<std::size_t>(l)], lane, label.c_str());
+    }
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (!live[i]) {
+      ASSERT_TRUE(std::isnan(got[i])) << what << " wrote a dead lane at " << i;
     }
   }
 }
 
-// Scalar reference for one select+synthesize line: composed from the
-// single-line scalar primitives plus the documented synthesis extension
-// (ext[k] = interleaved lo/hi stream at (k - synth_offset) mod 2*pairs).
-void ref_select_synth_line(const float* lo_a, const float* lo_b,
-                           const float* mlo_a, const float* mlo_b,
-                           const float* hi_a, const float* hi_b,
-                           const float* mhi_a, const float* mhi_b, int pairs,
-                           const float* ca, const float* cb, int taps,
-                           int synth_offset, float* out) {
-  std::vector<float> sel_lo(static_cast<std::size_t>(pairs));
-  std::vector<float> sel_hi(static_cast<std::size_t>(pairs));
-  if (lo_b != nullptr) {
-    simd::select_half_scalar(lo_a, lo_b, mlo_a, mlo_b, pairs, sel_lo.data());
-  } else {
-    std::copy(lo_a, lo_a + pairs, sel_lo.begin());
+// One analyze_mag_ml case against the oracle, in every flavour, with and
+// without the magnitude outputs.
+void check_analyze_mag(int nlines, int out_len, int taps, int x_stride,
+                       int out_stride) {
+  const int rows = 2 * out_len + taps;
+  const auto x_re = lane_plane(rows, x_stride, nlines, 40 + taps);
+  const auto x_im = lane_plane(rows, x_stride, nlines, 41 + taps);
+  const auto lp_re = randv(taps, 42), hp_re = randv(taps, 43);
+  const auto lp_im = randv(taps, 44), hp_im = randv(taps, 45);
+  // ref[q][l]: q = lo_re, hi_re, lo_im, hi_im, mag_lo, mag_hi.
+  std::vector<std::vector<float>> ref[6];
+  for (auto& r : ref) r.assign(nlines, std::vector<float>(out_len));
+  for (int l = 0; l < nlines; ++l) {
+    const auto re = gather_lane(x_re, rows, x_stride, l);
+    const auto im = gather_lane(x_im, rows, x_stride, l);
+    simd::dual_corr_decimate2_scalar(re.data(), out_len, lp_re.data(), hp_re.data(),
+                                     taps, ref[0][l].data(), ref[1][l].data());
+    simd::dual_corr_decimate2_scalar(im.data(), out_len, lp_im.data(), hp_im.data(),
+                                     taps, ref[2][l].data(), ref[3][l].data());
+    simd::complex_magnitude_scalar(ref[0][l].data(), ref[2][l].data(), out_len,
+                                   ref[4][l].data());
+    simd::complex_magnitude_scalar(ref[1][l].data(), ref[3][l].data(), out_len,
+                                   ref[5][l].data());
   }
-  if (hi_b != nullptr) {
-    simd::select_half_scalar(hi_a, hi_b, mhi_a, mhi_b, pairs, sel_hi.data());
-  } else {
-    std::copy(hi_a, hi_a + pairs, sel_hi.begin());
+  const char* names[6] = {"lo_re", "hi_re", "lo_im", "hi_im", "mag_lo", "mag_hi"};
+  const std::size_t out_total = static_cast<std::size_t>(out_len) * out_stride;
+  for (const FusedFlavour& fl : fused_flavours()) {
+    for (const bool with_mag : {true, false}) {
+      std::vector<float> out[6];
+      for (auto& o : out) o.assign(out_total, kSentinel);
+      fl.analyze_mag(x_re.data(), x_im.data(), x_stride, nlines, out_len,
+                     lp_re.data(), hp_re.data(), lp_im.data(), hp_im.data(), taps,
+                     out[0].data(), out[1].data(), out[2].data(), out[3].data(),
+                     with_mag ? out[4].data() : nullptr,
+                     with_mag ? out[5].data() : nullptr, out_stride);
+      for (int q = 0; q < (with_mag ? 6 : 4); ++q) {
+        expect_lanes(ref[q], out_len, out_stride, out[q], fl.exact,
+                     "analyze_mag_ml " + fl.name + " " + names[q] + " nlines " +
+                         std::to_string(nlines) + " out_len " +
+                         std::to_string(out_len) + " taps " + std::to_string(taps));
+      }
+      if (!with_mag) {
+        for (int q = 4; q < 6; ++q) {
+          for (float v : out[q]) ASSERT_TRUE(std::isnan(v)) << "null mag written";
+        }
+      }
+    }
   }
+}
+
+// One select_synth_ml case, fused (select by magnitude) or verbatim (null
+// *_b), against the oracle in every flavour.
+void check_select_synth(int nlines, int pairs, int taps, int synth_offset,
+                        bool fuse_select, int in_stride, int out_stride) {
+  std::vector<float> in[8];  // lo_a lo_b mlo_a mlo_b hi_a hi_b mhi_a mhi_b
+  for (int i = 0; i < 8; ++i) in[i] = lane_plane(pairs, in_stride, nlines, 50 + i);
+  const auto ca = randv(taps, 58), cb = randv(taps, 59);
   const int n = 2 * pairs;
-  std::vector<float> ext(static_cast<std::size_t>(n + taps));
-  int src = ((-synth_offset) % n + n) % n;
-  for (int k = 0; k < n + taps; ++k) {
-    ext[static_cast<std::size_t>(k)] =
-        (src & 1) ? sel_hi[static_cast<std::size_t>(src >> 1)]
-                  : sel_lo[static_cast<std::size_t>(src >> 1)];
-    if (++src == n) src = 0;
+  std::vector<std::vector<float>> ref(nlines, std::vector<float>(n));
+  for (int l = 0; l < nlines; ++l) {
+    std::vector<float> g[8];
+    for (int i = 0; i < 8; ++i) g[i] = gather_lane(in[i], pairs, in_stride, l);
+    std::vector<float> lo = g[0], hi = g[4];
+    if (fuse_select) {
+      simd::select_half_scalar(g[0].data(), g[1].data(), g[2].data(), g[3].data(),
+                               pairs, lo.data());
+      simd::select_half_scalar(g[4].data(), g[5].data(), g[6].data(), g[7].data(),
+                               pairs, hi.data());
+    }
+    std::vector<float> ext(static_cast<std::size_t>(n + taps));
+    for (int k = 0; k < n + taps; ++k) {
+      const int src = ((k - synth_offset) % n + n) % n;
+      ext[static_cast<std::size_t>(k)] = (src & 1) ? hi[src / 2] : lo[src / 2];
+    }
+    simd::dual_corr_decimate2_ileave_scalar(ext.data(), pairs, ca.data(), cb.data(),
+                                            taps, ref[l].data());
   }
-  simd::dual_corr_decimate2_ileave_scalar(ext.data(), pairs, ca, cb, taps, out);
+  auto b = [&](int i) { return fuse_select ? in[i].data() : nullptr; };
+  for (const FusedFlavour& fl : fused_flavours()) {
+    std::vector<float> out(static_cast<std::size_t>(n) * out_stride, kSentinel);
+    fl.select_synth(in[0].data(), b(1), in[2].data(), in[3].data(), in[4].data(),
+                    b(5), in[6].data(), in[7].data(), in_stride, nlines, pairs,
+                    ca.data(), cb.data(), taps, synth_offset, out.data(),
+                    out_stride);
+    expect_lanes(ref, n, out_stride, out, fl.exact,
+                 "select_synth_ml " + fl.name + (fuse_select ? " fused" : " verbatim") +
+                     " nlines " + std::to_string(nlines) + " pairs " +
+                     std::to_string(pairs) + " taps " + std::to_string(taps));
+  }
+}
+
+TEST_P(MultiLineEquivalence, AnalyzeMagMl) {
+  const int out_len = GetParam();
+  for (int nlines = 1; nlines <= simd::kMaxLinesPerCall; ++nlines) {
+    for (int taps : {5, 14}) check_analyze_mag(nlines, out_len, taps, 11, 13);
+  }
 }
 
 TEST_P(MultiLineEquivalence, SelectSynthMl) {
   const int pairs = GetParam();
-  for (int nlines : {1, 3, simd::kMaxLinesPerCall}) {
+  for (int nlines = 1; nlines <= simd::kMaxLinesPerCall; ++nlines) {
     for (const bool fuse_select : {true, false}) {
-      const int taps = 16;
-      const int synth_offset = 7;
-      const int in_stride = pairs + 2;
-      const int total = nlines * in_stride;
-      const auto lo_a = randv(total, 50), hi_a = randv(total, 51);
-      const auto lo_b = randv(total, 52), hi_b = randv(total, 53);
-      const auto mlo_a = randv(total, 54), mlo_b = randv(total, 55);
-      const auto mhi_a = randv(total, 56), mhi_b = randv(total, 57);
-      const auto ca = randv(taps, 58), cb = randv(taps, 59);
-      const int out_stride = 2 * pairs + 3;
-      const int out_total = nlines * out_stride;
-      std::vector<float> ref(out_total, 0.0f);
-      for (int l = 0; l < nlines; ++l) {
-        const int o = l * in_stride;
-        ref_select_synth_line(
-            lo_a.data() + o, fuse_select ? lo_b.data() + o : nullptr,
-            mlo_a.data() + o, mlo_b.data() + o, hi_a.data() + o,
-            fuse_select ? hi_b.data() + o : nullptr, mhi_a.data() + o,
-            mhi_b.data() + o, pairs, ca.data(), cb.data(), taps, synth_offset,
-            ref.data() + l * out_stride);
-      }
-      struct Flavour {
-        const char* name;
-        decltype(&simd::select_synth_ml_scalar) fn;
-        bool exact;
-      };
-      const Flavour flavours[] = {
-          {"scalar", simd::select_synth_ml_scalar, true},
-          {"simd", simd::select_synth_ml_simd, true},
-          {"autovec", simd::select_synth_ml_autovec, false},
-      };
-      for (const Flavour& fl : flavours) {
-        std::vector<float> out(out_total, 0.0f);
-        fl.fn(lo_a.data(), fuse_select ? lo_b.data() : nullptr, mlo_a.data(),
-              mlo_b.data(), hi_a.data(), fuse_select ? hi_b.data() : nullptr,
-              mhi_a.data(), mhi_b.data(), in_stride, nlines, pairs, ca.data(),
-              cb.data(), taps, synth_offset, out.data(), out_stride);
-        const std::string label = std::string("select_synth_ml ") + fl.name +
-                                  (fuse_select ? " fused" : " verbatim");
-        if (fl.exact) {
-          expect_bit_identical(ref, out, label.c_str());
-        } else {
-          expect_within_1_ulp(ref, out, label.c_str());
-        }
+      for (int taps : {7, 16}) {
+        check_select_synth(nlines, pairs, taps, 7, fuse_select, 11, 9);
       }
     }
   }
+}
+
+// Every lane count against every short line length the fused plan produces
+// (column heights of 2..80 rows), at the packed stride the plan's scratch
+// uses and at a wider plane stride.
+TEST(LaneKernels, AnalyzeMagMlSweep) {
+  for (int nlines = 1; nlines <= simd::kMaxLinesPerCall; ++nlines) {
+    for (int out_len = 1; out_len <= 40; ++out_len) {
+      for (int taps : {5, 14}) {
+        check_analyze_mag(nlines, out_len, taps, simd::kMaxLinesPerCall,
+                          simd::kMaxLinesPerCall);
+        check_analyze_mag(nlines, out_len, taps, 19, 12);
+      }
+    }
+  }
+}
+
+TEST(LaneKernels, SelectSynthMlSweep) {
+  for (int nlines = 1; nlines <= simd::kMaxLinesPerCall; ++nlines) {
+    for (int pairs = 1; pairs <= 40; ++pairs) {
+      for (int taps : {7, 16}) {
+        // Offsets beyond one period wrap more than once on short lines.
+        check_select_synth(nlines, pairs, taps, 3 + pairs % 5, true, 19, 12);
+        check_select_synth(nlines, pairs, taps, -2, false, simd::kMaxLinesPerCall,
+                           simd::kMaxLinesPerCall);
+      }
+    }
+  }
+}
+
+// Every instantiation the build compiled is listed, the AVX2 one exactly
+// when the CPU runs it, and the simd entry points run the widest of them.
+TEST(LaneKernels, EveryCompiledInstantiationIsListed) {
+  int n = 0;
+  const simd::LaneKernelVariant* v = simd::lane_kernel_variants(&n);
+  std::vector<std::string> isas;
+  for (int i = 0; i < n; ++i) isas.push_back(v[i].isa);
+  ASSERT_GE(n, 1);
+  EXPECT_EQ(isas[0], "portable");
+  EXPECT_TRUE(v[0].runnable);
+#if defined(__SSE2__)
+  EXPECT_NE(std::find(isas.begin(), isas.end(), "sse2"), isas.end());
+#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
+  EXPECT_NE(std::find(isas.begin(), isas.end(), "neon"), isas.end());
+#endif
+  const std::string isa_name = simd::simd_isa_name();
+#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
+  ASSERT_EQ(isas.back(), "avx2");
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  EXPECT_EQ(v[n - 1].runnable, avx2);
+  EXPECT_EQ(isa_name.find("+avx2") != std::string::npos, avx2);
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MultiLineEquivalence,
