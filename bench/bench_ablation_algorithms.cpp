@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   const ImageF& vis = pairs[0].visible;
   const ImageF& ir = pairs[0].thermal;
 
-  dwt::ScalarLineFilter backend;
+  dwt::KernelLineFilter backend(simd::scalar_kernels());
   auto fuse_dtcwt = [&](const ImageF& a, const ImageF& b) {
     return fuse_frames(a, b, fusion::FuseConfig{}, backend);
   };

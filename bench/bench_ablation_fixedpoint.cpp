@@ -21,7 +21,9 @@ int main(int argc, char** argv) {
                "Table I (float engine cost) + Fig. 4 data_t choice");
 
   const auto pairs = sched::make_sweep_frames({88, 72}, 1);
-  dwt::ScalarLineFilter float_filter;
+  // Both datapaths run the fused plan on the --threads pool; the output bits
+  // do not depend on the width.
+  dwt::KernelLineFilter float_filter(simd::scalar_kernels(), HostConfig{});
   const fusion::FuseConfig config;
   const image::ImageF reference =
       fuse_frames(pairs[0].visible, pairs[0].thermal, config, float_filter);
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
       {32, 24}, {24, 18}, {18, 15}, {16, 14}, {12, 10},
   };
   for (const hw::FixedPointFormat& fmt : formats) {
-    hw::FixedPointLineFilter filter(fmt);
+    dwt::KernelLineFilter filter(hw::fixed_point_kernels(fmt), HostConfig{});
     const image::ImageF fused =
         fuse_frames(pairs[0].visible, pairs[0].thermal, config, filter);
     const double fidelity = image::psnr(reference, fused);

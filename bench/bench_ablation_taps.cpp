@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   for (dwt::Wavelet w : {dwt::Wavelet::kLeGall53, dwt::Wavelet::kCdf97}) {
     fusion::FuseConfig config;
     config.transform.level1 = w;
-    dwt::ScalarLineFilter backend;
+    dwt::KernelLineFilter backend(simd::scalar_kernels());
     const fusion::FusionOutcome outcome =
         fuse_frames_with_quality(pairs[0].visible, pairs[0].thermal, config, backend);
     quality.add_row({wavelet_name(w), TextTable::num(outcome.quality.entropy_fused, 3),

@@ -44,9 +44,6 @@ inline constexpr int kPaperFrameCount = 10;  // "10 input frames were decomposed
 //                  otherwise — modeled outputs stay legacy without it)
 //   --sg-chain N   scatter-gather descriptor chain length (default 1 = flat
 //                  per-batch driver entries, the legacy schedule)
-//   --layout L     host memory layout: fused (default) | tiled | naive
-//                  (dwt::HostLayout; modeled time is bit-identical across
-//                  layouts, only host wall-clock changes)
 struct BenchOptions {
   int frames = kPaperFrameCount;
   bool pipeline = false;
@@ -55,7 +52,6 @@ struct BenchOptions {
   std::string json_path;
   bool cross_frame = false;
   int sg_chain_len = 1;
-  std::string layout;
 };
 
 inline BenchOptions parse_bench_options(int argc, char** argv) {
@@ -95,20 +91,11 @@ inline BenchOptions parse_bench_options(int argc, char** argv) {
                      argv[i]);
         std::exit(2);
       }
-    } else if (std::strcmp(argv[i], "--layout") == 0 && i + 1 < argc) {
-      options.layout = argv[++i];
-      if (options.layout != "fused" && options.layout != "tiled" &&
-          options.layout != "naive") {
-        std::fprintf(stderr,
-                     "unknown layout '%s' (supported: fused, tiled, naive)\n",
-                     options.layout.c_str());
-        std::exit(2);
-      }
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (supported: --frames N, --pipeline, "
                    "--threads N, --kernels scalar|simd|autovec, --json PATH, "
-                   "--cross-frame, --sg-chain N, --layout fused|tiled|naive)\n",
+                   "--cross-frame, --sg-chain N)\n",
                    argv[i]);
       std::exit(2);
     }
@@ -128,7 +115,6 @@ inline json::Value json_run_header(const char* bench, const BenchOptions& option
   json::Value host = json::Value::object();
   host.set("threads", host::default_threads());
   host.set("kernels", simd::active_kernels().name);
-  host.set("layout", dwt::host_layout_name(dwt::host_layout()));
   host.set("simd_isa", simd::simd_isa_name());
   run.set("host", std::move(host));
   run.set("frames", options.frames);
@@ -170,7 +156,6 @@ inline sched::RunConfig bench_run_config(const BenchOptions& options) {
   config.frames = options.frames;
   config.host.threads = host::default_threads();
   config.kernels = options.kernels;
-  config.host_layout = options.layout;
   config.cross_frame = options.cross_frame;
   config.batching.sg_chain_len = options.sg_chain_len;
   return config;

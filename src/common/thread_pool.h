@@ -202,9 +202,10 @@ inline ThreadPool* pool(const HostConfig& config = {}) {
 
 }  // namespace host
 
-// parallel_for that tolerates a null pool (serial fallback in one call site).
-inline void parallel_chunks(ThreadPool* pool, int begin, int end,
-                            const std::function<void(int, int)>& chunk_fn) {
+// parallel_for that tolerates a null pool: the serial fallback calls
+// chunk_fn directly, with no std::function in between.
+template <typename Fn>
+void parallel_chunks(ThreadPool* pool, int begin, int end, Fn&& chunk_fn) {
   if (pool) {
     pool->parallel_for(begin, end, chunk_fn);
   } else if (end > begin) {

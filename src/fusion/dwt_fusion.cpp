@@ -1,7 +1,6 @@
 #include "src/fusion/dwt_fusion.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 #include "src/common/arena.h"
@@ -179,66 +178,9 @@ FilterBank make_filter_bank(Wavelet w, int delay) {
 
 int required_slots(const FilterBank& bank) { return bank.taps(); }
 
-// --- LineFilter implementations ---------------------------------------------
-
 const simd::KernelSet& LineFilter::kernels() const { return simd::active_kernels(); }
 
-void LineFilter::analyze(const float* ext, int out_len, const float* lp,
-                         const float* hp, int taps, float* lo, float* hi) {
-  kernels().analyze(ext, out_len, lp, hp, taps, lo, hi);
-  account_analyze(out_len, taps);
-}
-
-void LineFilter::synthesize(const float* ext, int pairs, const float* ca,
-                            const float* cb, int taps, float* out) {
-  kernels().synthesize(ext, pairs, ca, cb, taps, out);
-  account_synthesize(pairs, taps);
-}
-
-// The three fusion-rule kernels are elementwise, so chunking over the pool
-// cannot change any output bit: every flavour computes element i identically
-// whether it lands in a vector body or a scalar tail. The single account_*
-// call stays on the caller thread either way.
-void LineFilter::magnitude(const float* re, const float* im, int n, float* mag) {
-  const simd::KernelSet& k = kernels();
-  ThreadPool* p = splittable() ? pool() : nullptr;
-  if (p != nullptr) {
-    parallel_chunks(p, 0, n,
-                    [&](int b, int e) { k.magnitude(re + b, im + b, e - b, mag + b); });
-  } else {
-    k.magnitude(re, im, n, mag);
-  }
-  account_magnitude(n);
-}
-
-void LineFilter::select(const float* a_re, const float* a_im, const float* b_re,
-                        const float* b_im, const float* mag_a, const float* mag_b,
-                        int n, float* out_re, float* out_im) {
-  const simd::KernelSet& k = kernels();
-  ThreadPool* p = splittable() ? pool() : nullptr;
-  if (p != nullptr) {
-    parallel_chunks(p, 0, n, [&](int b, int e) {
-      k.select(a_re + b, a_im + b, b_re + b, b_im + b, mag_a + b, mag_b + b, e - b,
-               out_re + b, out_im + b);
-    });
-  } else {
-    k.select(a_re, a_im, b_re, b_im, mag_a, mag_b, n, out_re, out_im);
-  }
-  account_select(n);
-}
-
-void LineFilter::average(const float* a, const float* b, int n, float* out) {
-  const simd::KernelSet& k = kernels();
-  ThreadPool* p = splittable() ? pool() : nullptr;
-  if (p != nullptr) {
-    parallel_chunks(p, 0, n,
-                    [&](int b0, int e) { k.average(a + b0, b + b0, e - b0, out + b0); });
-  } else {
-    k.average(a, b, n, out);
-  }
-}
-
-// --- 1-D line transforms ----------------------------------------------------
+// --- periodic extension ----------------------------------------------------
 
 namespace {
 
@@ -247,37 +189,13 @@ inline int wrap(int k, int n) {
   return k < 0 ? k + n : k;
 }
 
-// Periodic extension for one analysis line; returns scratch.data().
-const float* extend_analysis(const FilterBank& bank, const float* x, int n,
-                             std::vector<float>& scratch) {
-  const int ext_len = n + bank.taps();
-  if (static_cast<int>(scratch.size()) < ext_len) scratch.resize(ext_len);
-  for (int k = 0; k < ext_len; ++k) {
-    scratch[k] = x[wrap(k - bank.analysis_offset, n)];
-  }
-  return scratch.data();
-}
-
-// Periodic extension of the interleaved lo/hi stream for one synthesis line.
-const float* extend_synthesis(const FilterBank& bank, const float* lo,
-                              const float* hi, int n, std::vector<float>& scratch) {
-  const int ext_len = n + bank.synth_taps();
-  if (static_cast<int>(scratch.size()) < ext_len) scratch.resize(ext_len);
-  for (int k = 0; k < ext_len; ++k) {
-    const int src = wrap(k - bank.synthesis_offset, n);
-    scratch[k] = (src & 1) ? hi[src / 2] : lo[src / 2];
-  }
-  return scratch.data();
-}
-
 }  // namespace
 
-// Run-based forms of the two extensions for the tiled and fused paths: same
-// values as extend_analysis/extend_synthesis (ext[k] = x[(k - offset) mod
-// n]), but the analysis fill is a handful of memcpy runs instead of a
-// per-sample modulo, and the synthesis fill keeps the wrap as an
-// increment-and-reset counter. On the 5..16-tap banks the extension is
-// rebuilt once per line, so this is one of the host hot spots.
+// Periodic extension, ext[k] = x[(k - offset) mod n], in run-based form: the
+// analysis fill is a handful of memcpy runs instead of a per-sample modulo,
+// and the synthesis fill keeps the wrap as an increment-and-reset counter.
+// On the 5..16-tap banks the extension is rebuilt once per line, so this is
+// one of the host hot spots.
 void detail::fill_synthesis_ext(const FilterBank& bank, const float* lo,
                                 const float* hi, int n, float* ext) {
   // Runs of whole (lo[i], hi[i]) pairs up to each wrap of the stream, with
@@ -318,39 +236,10 @@ void detail::fill_analysis_ext(const FilterBank& bank, const float* x, int n,
   }
 }
 
-void analyze_line(LineFilter& f, const FilterBank& bank, const float* x, int n,
-                  float* lo, float* hi, std::vector<float>& scratch) {
-  assert(n % 2 == 0);
-  const float* ext = extend_analysis(bank, x, n, scratch);
-  f.analyze(ext, n / 2, bank.lp.data(), bank.hp.data(), bank.taps(), lo, hi);
-}
-
-void synthesize_line(LineFilter& f, const FilterBank& bank, const float* lo,
-                     const float* hi, int n, float* y, std::vector<float>& scratch) {
-  assert(n % 2 == 0);
-  const float* ext = extend_synthesis(bank, lo, hi, n, scratch);
-  f.synthesize(ext, n / 2, bank.ca.data(), bank.cb.data(), bank.synth_taps(), y);
-}
-
 // --- 2-D transform ----------------------------------------------------------
 
-namespace {
-HostLayout g_host_layout = HostLayout::kFused;
-}  // namespace
-
-HostLayout host_layout() { return g_host_layout; }
-void set_host_layout(HostLayout layout) { g_host_layout = layout; }
-const char* host_layout_name(HostLayout layout) {
-  switch (layout) {
-    case HostLayout::kFused:
-      return "fused";
-    case HostLayout::kTiled:
-      return "tiled";
-    case HostLayout::kNaive:
-      return "naive";
-  }
-  return "?";
-}
+HostLayout host_layout() { return HostLayout::kFused; }
+const char* host_layout_name(HostLayout) { return "fused"; }
 
 namespace {
 
@@ -387,19 +276,20 @@ struct LevelOut {
   ImageF ll, lh, hl, hh;
 };
 
-// Cache-aware analysis level for splittable filters (HostLayout::kTiled).
+// One separable analysis level: rows with `row_bank`, columns with
+// `col_bank`.
 //
 // Memory story: every intermediate lives in the per-thread arena. The row
 // pass filters blocks of kLineBlock contiguous rows through analyze_ml; the
 // column pass transposes the row outputs once (8x8 blocked, simd::
 // transpose_f32) so each column is a contiguous line, filters blocks of
 // columns through the same multi-line kernel, and transposes the four
-// subband planes back. Per line the extended samples and the kernel flavour
-// are exactly the naive path's, and the account_*/barrier() replay below is
-// the same canonical sequence, so every output bit — fused image, modeled
-// time, energy — matches HostLayout::kNaive (tests/test_host_parallel.cpp).
-LevelOut analyze_level_tiled(const ImageF& padded, const FilterBank& row_bank,
-                             const FilterBank& col_bank, LineFilter& f) {
+// subband planes back. The numeric line loops fan out over the filter's
+// pool (lines within a pass are independent); the accounting loops then run
+// serially in canonical order, with the barriers at the same positions, so
+// the modeled engine sees the same request sequence at any thread count.
+LevelOut analyze_level(const ImageF& padded, const FilterBank& row_bank,
+                       const FilterBank& col_bank, LineFilter& f) {
   ThreadPool* pool = f.pool();
   const simd::KernelSet& k = f.kernels();
   const int rp = padded.rows();
@@ -429,11 +319,7 @@ LevelOut analyze_level_tiled(const ImageF& padded, const FilterBank& row_bank,
                    rowhi + static_cast<std::size_t>(r) * hc, hc);
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(0, rp, row_block);
-  } else {
-    row_block(0, rp);
-  }
+  parallel_chunks(pool, 0, rp, row_block);
   for (int r = 0; r < rp; ++r) f.account_analyze(hc, row_bank.taps());
   f.barrier();  // the column pass reads the row pass's outputs
 
@@ -470,11 +356,7 @@ LevelOut analyze_level_tiled(const ImageF& padded, const FilterBank& row_bank,
                    thh + static_cast<std::size_t>(c) * hr, hr);
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(0, hc, col_block);
-  } else {
-    col_block(0, hc);
-  }
+  parallel_chunks(pool, 0, hc, col_block);
   for (int c = 0; c < hc; ++c) {
     f.account_analyze(hr, col_bank.taps());
     f.account_analyze(hr, col_bank.taps());
@@ -492,107 +374,13 @@ LevelOut analyze_level_tiled(const ImageF& padded, const FilterBank& row_bank,
   return out;
 }
 
-// One separable analysis level: rows with `row_bank`, columns with `col_bank`.
-//
-// The parallel path fans the numeric line loops out over the filter's pool
-// (rows, then columns — lines within a pass are independent) and then runs
-// the accounting loop serially in the same canonical order the serial path
-// interleaves it. Barrier positions are identical in both paths: the modeled
-// engine sees the exact same request sequence either way.
-LevelOut analyze_level(const ImageF& padded, const FilterBank& row_bank,
-                       const FilterBank& col_bank, LineFilter& f,
-                       std::vector<float>& scratch) {
-  // kFused steers the frame-pair entry points (fuse_frames, the timed
-  // runners) into the band-streaming plan before they reach these standalone
-  // per-tree passes; a transform invoked outside a fusion pair under kFused
-  // still deserves the cache-aware layout, so only kNaive opts out here.
-  if (f.splittable() && g_host_layout != HostLayout::kNaive) {
-    return analyze_level_tiled(padded, row_bank, col_bank, f);
-  }
-  ThreadPool* pool = f.splittable() ? f.pool() : nullptr;
-  const int rp = padded.rows();
-  const int cp = padded.cols();
-  ImageF rowlo(rp, cp / 2), rowhi(rp, cp / 2);
-  if (pool != nullptr) {
-    const simd::KernelSet& k = f.kernels();
-    pool->parallel_for(0, rp, [&](int r0, int r1) {
-      std::vector<float> local;
-      for (int r = r0; r < r1; ++r) {
-        const float* ext = extend_analysis(row_bank, padded.row(r), cp, local);
-        k.analyze(ext, cp / 2, row_bank.lp.data(), row_bank.hp.data(),
-                  row_bank.taps(), rowlo.row(r), rowhi.row(r));
-      }
-    });
-    for (int r = 0; r < rp; ++r) f.account_analyze(cp / 2, row_bank.taps());
-  } else {
-    for (int r = 0; r < rp; ++r) {
-      analyze_line(f, row_bank, padded.row(r), cp, rowlo.row(r), rowhi.row(r),
-                   scratch);
-    }
-  }
-  f.barrier();  // the column pass reads the row pass's outputs
-  LevelOut out;
-  out.ll = ImageF(rp / 2, cp / 2);
-  out.lh = ImageF(rp / 2, cp / 2);
-  out.hl = ImageF(rp / 2, cp / 2);
-  out.hh = ImageF(rp / 2, cp / 2);
-  if (pool != nullptr) {
-    const simd::KernelSet& k = f.kernels();
-    pool->parallel_for(0, cp / 2, [&](int c0, int c1) {
-      std::vector<float> local, col(rp), lo(rp / 2), hi(rp / 2);
-      for (int c = c0; c < c1; ++c) {
-        for (int r = 0; r < rp; ++r) col[r] = rowlo(r, c);
-        const float* ext = extend_analysis(col_bank, col.data(), rp, local);
-        k.analyze(ext, rp / 2, col_bank.lp.data(), col_bank.hp.data(),
-                  col_bank.taps(), lo.data(), hi.data());
-        for (int r = 0; r < rp / 2; ++r) {
-          out.ll(r, c) = lo[r];
-          out.lh(r, c) = hi[r];
-        }
-        for (int r = 0; r < rp; ++r) col[r] = rowhi(r, c);
-        ext = extend_analysis(col_bank, col.data(), rp, local);
-        k.analyze(ext, rp / 2, col_bank.lp.data(), col_bank.hp.data(),
-                  col_bank.taps(), lo.data(), hi.data());
-        for (int r = 0; r < rp / 2; ++r) {
-          out.hl(r, c) = lo[r];
-          out.hh(r, c) = hi[r];
-        }
-      }
-    });
-    for (int c = 0; c < cp / 2; ++c) {
-      f.account_analyze(rp / 2, col_bank.taps());
-      f.account_analyze(rp / 2, col_bank.taps());
-    }
-  } else {
-    std::vector<float> col(rp), lo(rp / 2), hi(rp / 2);
-    for (int c = 0; c < cp / 2; ++c) {
-      for (int r = 0; r < rp; ++r) col[r] = rowlo(r, c);
-      analyze_line(f, col_bank, col.data(), rp, lo.data(), hi.data(), scratch);
-      for (int r = 0; r < rp / 2; ++r) {
-        out.ll(r, c) = lo[r];
-        out.lh(r, c) = hi[r];
-      }
-      for (int r = 0; r < rp; ++r) col[r] = rowhi(r, c);
-      analyze_line(f, col_bank, col.data(), rp, lo.data(), hi.data(), scratch);
-      for (int r = 0; r < rp / 2; ++r) {
-        out.hl(r, c) = lo[r];
-        out.hh(r, c) = hi[r];
-      }
-    }
-  }
-  f.barrier();  // the next level (or consumer) reads this level's outputs
-  return out;
-}
-
-// Cache-aware synthesis level (HostLayout::kTiled): mirror of
-// analyze_level_tiled. The four subband planes are transposed once so the
-// column-pass lo/hi inputs are contiguous rows, blocks of columns run
-// through synthesize_ml into a transposed intermediate, and one transpose
-// back feeds the row pass. Same per-line samples, kernel flavour, and
-// account/barrier sequence as the naive path.
-ImageF synthesize_level_tiled(const ImageF& ll, const LevelBands& bands,
-                              const FilterBank& row_bank, const FilterBank& col_bank,
-                              LineFilter& f) {
+// Inverse of analyze_level, cropped to the level's pre-padding size: the
+// four subband planes are transposed once so the column-pass lo/hi inputs
+// are contiguous rows, blocks of columns run through synthesize_ml into a
+// transposed intermediate, and one transpose back feeds the row pass.
+ImageF synthesize_level(const ImageF& ll, const LevelBands& bands,
+                        const FilterBank& row_bank, const FilterBank& col_bank,
+                        LineFilter& f) {
   ThreadPool* pool = f.pool();
   const simd::KernelSet& k = f.kernels();
   const int rp2 = ll.rows();
@@ -637,11 +425,7 @@ ImageF synthesize_level_tiled(const ImageF& ll, const LevelBands& bands,
                       trowhi + static_cast<std::size_t>(c) * rp, rp);
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(0, cp2, col_block);
-  } else {
-    col_block(0, cp2);
-  }
+  parallel_chunks(pool, 0, cp2, col_block);
   for (int c = 0; c < cp2; ++c) {
     f.account_synthesize(rp / 2, col_bank.synth_taps());
     f.account_synthesize(rp / 2, col_bank.synth_taps());
@@ -668,11 +452,7 @@ ImageF synthesize_level_tiled(const ImageF& ll, const LevelBands& bands,
                       row_bank.cb.data(), row_bank.synth_taps(), padded.row(r), cp);
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(0, rp, row_block);
-  } else {
-    row_block(0, rp);
-  }
+  parallel_chunks(pool, 0, rp, row_block);
   for (int r = 0; r < rp; ++r) {
     f.account_synthesize(cp / 2, row_bank.synth_taps());
   }
@@ -682,99 +462,6 @@ ImageF synthesize_level_tiled(const ImageF& ll, const LevelBands& bands,
   for (int r = 0; r < bands.in_rows; ++r) {
     std::memcpy(out.row(r), padded.row(r),
                 static_cast<std::size_t>(bands.in_cols) * sizeof(float));
-  }
-  return out;
-}
-
-// Inverse of analyze_level; returns the padded-size image.
-ImageF synthesize_level(const ImageF& ll, const LevelBands& bands,
-                        const FilterBank& row_bank, const FilterBank& col_bank,
-                        LineFilter& f, std::vector<float>& scratch) {
-  // kFused steers the frame-pair entry points (fuse_frames, the timed
-  // runners) into the band-streaming plan before they reach these standalone
-  // per-tree passes; a transform invoked outside a fusion pair under kFused
-  // still deserves the cache-aware layout, so only kNaive opts out here.
-  if (f.splittable() && g_host_layout != HostLayout::kNaive) {
-    return synthesize_level_tiled(ll, bands, row_bank, col_bank, f);
-  }
-  ThreadPool* pool = f.splittable() ? f.pool() : nullptr;
-  const int rp2 = ll.rows();
-  const int cp2 = ll.cols();
-  const int rp = rp2 * 2;
-  ImageF rowlo(rp, cp2), rowhi(rp, cp2);
-  if (pool != nullptr) {
-    const simd::KernelSet& k = f.kernels();
-    pool->parallel_for(0, cp2, [&](int c0, int c1) {
-      std::vector<float> local, lo(rp2), hi(rp2), col(rp);
-      for (int c = c0; c < c1; ++c) {
-        for (int r = 0; r < rp2; ++r) {
-          lo[r] = ll(r, c);
-          hi[r] = bands.lh(r, c);
-        }
-        const float* ext = extend_synthesis(col_bank, lo.data(), hi.data(), rp, local);
-        k.synthesize(ext, rp / 2, col_bank.ca.data(), col_bank.cb.data(),
-                     col_bank.synth_taps(), col.data());
-        for (int r = 0; r < rp; ++r) rowlo(r, c) = col[r];
-        for (int r = 0; r < rp2; ++r) {
-          lo[r] = bands.hl(r, c);
-          hi[r] = bands.hh(r, c);
-        }
-        ext = extend_synthesis(col_bank, lo.data(), hi.data(), rp, local);
-        k.synthesize(ext, rp / 2, col_bank.ca.data(), col_bank.cb.data(),
-                     col_bank.synth_taps(), col.data());
-        for (int r = 0; r < rp; ++r) rowhi(r, c) = col[r];
-      }
-    });
-    for (int c = 0; c < cp2; ++c) {
-      f.account_synthesize(rp / 2, col_bank.synth_taps());
-      f.account_synthesize(rp / 2, col_bank.synth_taps());
-    }
-  } else {
-    std::vector<float> lo(rp2), hi(rp2), col(rp);
-    for (int c = 0; c < cp2; ++c) {
-      for (int r = 0; r < rp2; ++r) {
-        lo[r] = ll(r, c);
-        hi[r] = bands.lh(r, c);
-      }
-      synthesize_line(f, col_bank, lo.data(), hi.data(), rp, col.data(), scratch);
-      for (int r = 0; r < rp; ++r) rowlo(r, c) = col[r];
-      for (int r = 0; r < rp2; ++r) {
-        lo[r] = bands.hl(r, c);
-        hi[r] = bands.hh(r, c);
-      }
-      synthesize_line(f, col_bank, lo.data(), hi.data(), rp, col.data(), scratch);
-      for (int r = 0; r < rp; ++r) rowhi(r, c) = col[r];
-    }
-  }
-  f.barrier();  // the row pass reads the column pass's outputs
-  const int cp = cp2 * 2;
-  ImageF padded(rp, cp);
-  if (pool != nullptr) {
-    const simd::KernelSet& k = f.kernels();
-    pool->parallel_for(0, rp, [&](int r0, int r1) {
-      std::vector<float> local;
-      for (int r = r0; r < r1; ++r) {
-        const float* ext =
-            extend_synthesis(row_bank, rowlo.row(r), rowhi.row(r), cp, local);
-        k.synthesize(ext, cp / 2, row_bank.ca.data(), row_bank.cb.data(),
-                     row_bank.synth_taps(), padded.row(r));
-      }
-    });
-    for (int r = 0; r < rp; ++r) {
-      f.account_synthesize(cp / 2, row_bank.synth_taps());
-    }
-  } else {
-    for (int r = 0; r < rp; ++r) {
-      synthesize_line(f, row_bank, rowlo.row(r), rowhi.row(r), cp, padded.row(r),
-                      scratch);
-    }
-  }
-  f.barrier();  // the next (shallower) level reads this reconstruction
-  // Crop back to the pre-padding size of this level.
-  if (bands.in_rows == rp && bands.in_cols == cp) return padded;
-  ImageF out(bands.in_rows, bands.in_cols);
-  for (int r = 0; r < bands.in_rows; ++r) {
-    for (int c = 0; c < bands.in_cols; ++c) out(r, c) = padded(r, c);
   }
   return out;
 }
@@ -843,19 +530,6 @@ void account_forward_tree(int rows, int cols, const TransformConfig& config,
 // TreePyramid: the per-level pre-padding dims are re-derived from the input
 // size exactly as forward_tree records them in bands.in_rows/in_cols.
 void account_inverse_tree(int rows, int cols, const TransformConfig& config,
-                          int row_tree, int col_tree, LineFilter& f) {
-  std::vector<FilterBank> row_banks, col_banks;
-  row_banks.reserve(config.levels);
-  col_banks.reserve(config.levels);
-  for (int level = 0; level < config.levels; ++level) {
-    row_banks.push_back(bank_for_level(config, level, row_tree));
-    col_banks.push_back(bank_for_level(config, level, col_tree));
-  }
-  account_inverse_tree(rows, cols, config, row_banks.data(), col_banks.data(),
-                       f);
-}
-
-void account_inverse_tree(int rows, int cols, const TransformConfig& config,
                           const FilterBank* row_banks,
                           const FilterBank* col_banks, LineFilter& f) {
   std::vector<int> lr(config.levels + 1), lc(config.levels + 1);
@@ -917,7 +591,6 @@ void account_inverse_tree(const TreePyramid& pyr, const TransformConfig& config,
 TreePyramid forward_tree(const ImageF& img, const TransformConfig& config,
                          int row_tree, int col_tree, LineFilter& filter) {
   TreePyramid pyr;
-  std::vector<float> scratch;
   // Level 0 reads `img` in place; deeper levels read the previous level's ll
   // (owned). The old path copied the whole input per tree — 4 copies per
   // transform — for no numeric reason.
@@ -932,7 +605,7 @@ TreePyramid forward_tree(const ImageF& img, const TransformConfig& config,
     const bool pad = needs_padding(*current);
     const ImageF padded_storage = pad ? pad_even(*current) : ImageF();
     const ImageF& padded = pad ? padded_storage : *current;
-    LevelOut out = analyze_level(padded, row_bank, col_bank, filter, scratch);
+    LevelOut out = analyze_level(padded, row_bank, col_bank, filter);
     bands.lh = std::move(out.lh);
     bands.hl = std::move(out.hl);
     bands.hh = std::move(out.hh);
@@ -946,13 +619,11 @@ TreePyramid forward_tree(const ImageF& img, const TransformConfig& config,
 
 ImageF inverse_tree(const TreePyramid& pyr, const TransformConfig& config,
                     int row_tree, int col_tree, LineFilter& filter) {
-  std::vector<float> scratch;
   ImageF current = pyr.ll;
   for (int level = static_cast<int>(pyr.levels.size()) - 1; level >= 0; --level) {
     const FilterBank row_bank = detail::bank_for_level(config, level, row_tree);
     const FilterBank col_bank = detail::bank_for_level(config, level, col_tree);
-    current = synthesize_level(current, pyr.levels[level], row_bank, col_bank, filter,
-                               scratch);
+    current = synthesize_level(current, pyr.levels[level], row_bank, col_bank, filter);
   }
   return current;
 }
@@ -960,7 +631,7 @@ ImageF inverse_tree(const TreePyramid& pyr, const TransformConfig& config,
 DtcwtPyramid forward_dtcwt(const ImageF& img, const TransformConfig& config,
                            LineFilter& filter) {
   DtcwtPyramid pyr;
-  ThreadPool* pool = filter.splittable() ? filter.pool() : nullptr;
+  ThreadPool* pool = filter.pool();
   if (pool == nullptr) {
     for (int t = 0; t < 4; ++t) {
       pyr.tree[t] = forward_tree(img, config, t >> 1, t & 1, filter);
@@ -988,7 +659,7 @@ DtcwtPyramid forward_dtcwt(const ImageF& img, const TransformConfig& config,
 
 ImageF inverse_dtcwt(const DtcwtPyramid& pyr, const TransformConfig& config,
                      LineFilter& filter) {
-  ThreadPool* pool = filter.splittable() ? filter.pool() : nullptr;
+  ThreadPool* pool = filter.pool();
   if (pool == nullptr) {
     ImageF acc;
     for (int t = 0; t < 4; ++t) {

@@ -68,31 +68,22 @@ struct FilterStats {
   long long total_macs() const { return analysis_macs + synthesis_macs; }
 };
 
-// A LineFilter executes one line-sized kernel request at a time — the same
-// granularity at which the paper's driver feeds the PL engine. Subclasses
-// pick the implementation (scalar / SIMD / fixed-point datapath /
-// time-accounted engine models in src/sched).
+// A LineFilter is the seam between the transform and whatever executes it —
+// the same line granularity at which the paper's driver feeds the PL engine.
+// It carries no numerics of its own; it names them and accounts for them:
 //
-// The interface is split into two halves so host execution can parallelize
-// without perturbing modeled time:
-//
-//   kernels()    pure numeric implementations (a simd::KernelSet). Thread-
-//                safe by construction — the transform's parallel paths call
-//                them from pool workers.
+//   kernels()    the simd::KernelSet every transform line and fusion-rule
+//                call runs through (scalar / simd / autovec, or a fixed-
+//                point datapath from hw::fixed_point_kernels). Pure, so the
+//                transform calls it from pool workers.
 //   account_*()  modeled-time / statistics bookkeeping: exactly one call per
 //                line, in canonical line order, always on the caller thread.
 //                Accounting is inherently order-dependent (double-precision
 //                ledgers, accelerator double-buffer state, event-queue
-//                scheduling), so it is never fanned out; parallel paths run
-//                the numerics first and then replay the account_*/barrier()
+//                scheduling), so it is never fanned out: the transform runs
+//                the numerics first and then replays the account_*/barrier()
 //                sequence serially — which is why modeled output is
 //                bit-identical at any thread count.
-//
-// The combined entry points (analyze/synthesize/magnitude/select) default to
-// kernels() + account_*() and are what the serial path calls; filters whose
-// numerics are not expressible as a KernelSet (the fixed-point datapath)
-// override them and return splittable() == false so every path stays serial
-// and combined.
 class LineFilter {
  public:
   virtual ~LineFilter() = default;
@@ -105,7 +96,6 @@ class LineFilter {
   // before the producing outputs have landed.
   virtual void barrier() {}
 
-  // --- split half: pure numerics + serial accounting -----------------------
   virtual const simd::KernelSet& kernels() const;  // default: active_kernels()
   virtual void account_analyze(int out_len, int taps) {
     (void)out_len;
@@ -118,131 +108,69 @@ class LineFilter {
   virtual void account_magnitude(int n) { (void)n; }
   virtual void account_select(int n) { (void)n; }
 
-  // False when the combined entry points do more than kernels()+account_*()
-  // (fixed-point quantizing datapath); such filters always run serial.
-  virtual bool splittable() const { return true; }
   // Host pool for data-parallel numeric work; nullptr = serial execution.
   // Modeled time is unaffected by the pool (see account_* above).
   virtual ThreadPool* pool() const { return nullptr; }
-
-  // --- combined entry points (kernels + accounting) -------------------------
-  virtual void analyze(const float* ext, int out_len, const float* lp, const float* hp,
-                       int taps, float* lo, float* hi);
-  virtual void synthesize(const float* ext, int pairs, const float* ca, const float* cb,
-                          int taps, float* out);
-  // Fusion-rule kernels; whole-subband requests, chunked over pool().
-  virtual void magnitude(const float* re, const float* im, int n, float* mag);
-  virtual void select(const float* a_re, const float* a_im, const float* b_re,
-                      const float* b_im, const float* mag_a, const float* mag_b, int n,
-                      float* out_re, float* out_im);
-  // Lowpass-residual averaging. Not time-accounted: the paper folds it into
-  // the fusion rule's bookkeeping, and no backend ever charged for it.
-  virtual void average(const float* a, const float* b, int n, float* out);
 };
 
-// Pure numeric filter over a fixed KernelSet: no accounting, no pool, no
-// barriers. The per-worker execution vehicle of the tree-parallel paths in
-// forward_dtcwt/inverse_dtcwt (numerics fan out through this; the real
-// filter's accounting is replayed serially afterwards).
+// The host filter: numerics from one fixed KernelSet, an optional host pool,
+// and MAC/line statistics. The one-argument form is serial; the tree-
+// parallel paths of forward_dtcwt/inverse_dtcwt run each worker's numerics
+// through one (the real filter's accounting is replayed serially after).
 class KernelLineFilter : public LineFilter {
  public:
-  KernelLineFilter() : kernels_(&simd::active_kernels()) {}
   explicit KernelLineFilter(const simd::KernelSet& kernels) : kernels_(&kernels) {}
+  KernelLineFilter(const simd::KernelSet& kernels, const HostConfig& host)
+      : kernels_(&kernels), pool_(host::pool(host)) {}
+
   const simd::KernelSet& kernels() const override { return *kernels_; }
+  ThreadPool* pool() const override { return pool_; }
+  void account_analyze(int out_len, int taps) override {
+    stats_.analysis_macs += 2LL * out_len * taps;
+    stats_.analysis_lines += 1;
+  }
+  void account_synthesize(int pairs, int taps) override {
+    stats_.synthesis_macs += 2LL * pairs * taps;
+    stats_.synthesis_lines += 1;
+  }
+
+  void reset_stats() { stats_ = {}; }
+  const FilterStats& stats() const { return stats_; }
 
  private:
   const simd::KernelSet* kernels_;
-};
-
-class ScalarLineFilter : public LineFilter {
- public:
-  ScalarLineFilter() = default;
-  explicit ScalarLineFilter(const HostConfig& host) : pool_(host::pool(host)) {}
-
-  const simd::KernelSet& kernels() const override { return simd::scalar_kernels(); }
-  ThreadPool* pool() const override { return pool_; }
-  void account_analyze(int out_len, int taps) override {
-    stats_.analysis_macs += 2LL * out_len * taps;
-    stats_.analysis_lines += 1;
-  }
-  void account_synthesize(int pairs, int taps) override {
-    stats_.synthesis_macs += 2LL * pairs * taps;
-    stats_.synthesis_lines += 1;
-  }
-
-  void reset_stats() { stats_ = {}; }
-  const FilterStats& stats() const { return stats_; }
-
- private:
-  FilterStats stats_;
   ThreadPool* pool_ = nullptr;
-};
-
-class SimdLineFilter : public LineFilter {
- public:
-  SimdLineFilter() = default;
-  explicit SimdLineFilter(const HostConfig& host) : pool_(host::pool(host)) {}
-
-  const simd::KernelSet& kernels() const override { return simd::simd_kernels(); }
-  ThreadPool* pool() const override { return pool_; }
-  void account_analyze(int out_len, int taps) override {
-    stats_.analysis_macs += 2LL * out_len * taps;
-    stats_.analysis_lines += 1;
-  }
-  void account_synthesize(int pairs, int taps) override {
-    stats_.synthesis_macs += 2LL * pairs * taps;
-    stats_.synthesis_lines += 1;
-  }
-
-  void reset_stats() { stats_ = {}; }
-  const FilterStats& stats() const { return stats_; }
-
- private:
   FilterStats stats_;
-  ThreadPool* pool_ = nullptr;
 };
 
-// --- 1-D line transforms ----------------------------------------------------
-
-// x has n samples (n even); lo/hi receive n/2 each. `scratch` avoids
-// reallocating the extension buffer across the thousands of line calls.
-void analyze_line(LineFilter& f, const FilterBank& bank, const float* x, int n,
-                  float* lo, float* hi, std::vector<float>& scratch);
-void synthesize_line(LineFilter& f, const FilterBank& bank, const float* lo,
-                     const float* hi, int n, float* y, std::vector<float>& scratch);
+// KernelLineFilter pinned to simd_kernels(); kept for perfbench/main.cpp.
+class SimdLineFilter : public KernelLineFilter {
+ public:
+  explicit SimdLineFilter(const HostConfig& host)
+      : KernelLineFilter(simd::simd_kernels(), host) {}
+};
 
 // --- 2-D multi-level transform ----------------------------------------------
 
-// Memory layout of the 2-D passes for splittable filters:
+// There is one host implementation per entry point. fuse_frames and the
+// timed runners always run the band-streaming plan (src/fusion/fused_plan.h):
+// the two frames' transforms interleaved band by band, each band consumed by
+// the magnitude/select rule while hot in cache, fused bands streamed
+// straight into inverse synthesis. The standalone transforms below
+// (forward_tree/inverse_tree, forward_dtcwt/inverse_dtcwt, and through them
+// the DWT baseline fuse_frames_dwt) run the staged tiled path: per-thread
+// arena scratch (src/common/arena.h), run-based periodic extension, and a
+// cache-blocked transpose so the column pass filters contiguous rows through
+// the multi-line kernels (KernelSet::analyze_ml/synthesize_ml, up to
+// simd::kMaxLinesPerCall lines per dispatch). Both feed every line the same
+// extended samples through the same per-line kernel arithmetic and replay
+// the same account_*/barrier() sequence; tests/dtcwt_oracle.h is the scalar
+// reference both must match bit for bit.
 //
-//   kFused  (default) — the band-streaming execution plan
-//           (src/fusion/fused_plan.h): fuse_frames and the timed runners
-//           interleave the two frames' transforms band-by-band and consume
-//           each band with the magnitude/select rule while it is hot in
-//           cache, streaming fused bands straight into inverse synthesis —
-//           the second pyramid is never materialized. Standalone
-//           forward_tree/forward_dtcwt calls (no frame pair to fuse against)
-//           execute the tiled layout below.
-//   kTiled  — PR 8's staged path: per-thread arena scratch
-//           (src/common/arena.h), run-based periodic extension (memcpy runs
-//           instead of a per-sample modulo), and a cache-blocked transpose so
-//           the column pass filters contiguous rows through the multi-line
-//           kernels (KernelSet::analyze_ml/synthesize_ml, up to
-//           simd::kMaxLinesPerCall lines per dispatch).
-//   kNaive  — the historical per-line path: stride-W column gathers into
-//           std::vector scratch, one kernel dispatch per line.
-//
-// All layouts feed every line the same extended samples through the same
-// per-line kernel flavour and replay the same account_*/barrier() sequence,
-// so fused bits and modeled time/energy are bit-identical (locked by
-// tests/test_host_parallel.cpp); the toggle exists for the bench_pipeline
-// layout sweep and the equivalence tests. Process-wide, like
-// set_active_kernels: select at startup, before spawning parallel work.
-// Non-splittable filters (the fixed-point datapath) always run the naive
-// combined path regardless of this setting.
-enum class HostLayout { kFused, kTiled, kNaive };
+// Read-only and constant: host_layout() is always kFused and its name
+// "fused". They exist only because perfbench/main.cpp prints them.
+enum class HostLayout { kFused };
 HostLayout host_layout();
-void set_host_layout(HostLayout layout);
 const char* host_layout_name(HostLayout layout);
 
 struct TransformConfig {
@@ -265,8 +193,8 @@ struct TreePyramid {
 
 // `row_tree`/`col_tree`: 0 = tree A, 1 = tree B (one-sample level-1 delay +
 // reversed q-shift filters at levels >= 2) applied along that dimension.
-// When `filter` is splittable and has a pool, the per-row/per-column numeric
-// loops fan out over the pool (accounting replayed serially per pass).
+// When `filter` has a pool, the per-row/per-column numeric loops fan out
+// over it (accounting replayed serially per pass).
 TreePyramid forward_tree(const image::ImageF& img, const TransformConfig& config,
                          int row_tree, int col_tree, LineFilter& filter);
 image::ImageF inverse_tree(const TreePyramid& pyr, const TransformConfig& config,
@@ -278,8 +206,8 @@ struct DtcwtPyramid {
   TreePyramid tree[4];
 };
 
-// When `filter` is splittable and has a pool, the four independent trees run
-// their numerics in parallel (through KernelLineFilter) and the filter's
+// When `filter` has a pool, the four independent trees run their numerics
+// in parallel (through a serial KernelLineFilter each) and the filter's
 // account_*/barrier() sequence is replayed serially in tree order — modeled
 // time is bit-identical to the serial path at any thread count.
 DtcwtPyramid forward_dtcwt(const image::ImageF& img, const TransformConfig& config,
@@ -289,9 +217,9 @@ image::ImageF inverse_dtcwt(const DtcwtPyramid& pyr, const TransformConfig& conf
                             LineFilter& filter);
 
 // --- shared transform internals ---------------------------------------------
-// Used by the band-streaming fused plan (src/fusion/fused_plan.cpp), which
-// must produce the exact per-line inputs and the exact account_*/barrier()
-// sequence of the staged path above.
+// Shared by the tiled transforms and the band-streaming fused plan
+// (src/fusion/fused_plan.cpp), which must produce the same per-line inputs
+// and the same account_*/barrier() sequence.
 namespace detail {
 
 // The bank a given tree applies at a given level (tree B = one-sample delay
@@ -309,19 +237,14 @@ void fill_synthesis_ext(const FilterBank& bank, const float* lo, const float* hi
                         int n, float* ext);
 
 // Replay one tree's forward / inverse account_*/barrier() sequence for an
-// input of the given pre-padding dims — the exact sequence the staged
-// forward_tree/inverse_tree emit, derived from shapes alone (accounting
-// never reads sample values).
+// input of the given pre-padding dims — the exact sequence forward_tree /
+// inverse_tree emit, derived from shapes alone (accounting never reads
+// sample values). The first form builds the tree's banks; the others take
+// the per-level banks (row_banks[level] / col_banks[level], config.levels
+// each) from the caller — the fused plan replays twelve tree accountings per
+// frame pair, and rebuilding the banks dominated the replay cost.
 void account_forward_tree(int rows, int cols, const TransformConfig& config,
                           int row_tree, int col_tree, LineFilter& f);
-void account_inverse_tree(int rows, int cols, const TransformConfig& config,
-                          int row_tree, int col_tree, LineFilter& f);
-
-// Bank-cached variants: identical account/barrier sequences, but taking the
-// per-level banks (row_banks[level] / col_banks[level], config.levels each)
-// from the caller instead of rebuilding them per tree. The fused plan replays
-// twelve tree accountings per frame pair; rebuilding the banks dominated the
-// replay cost.
 void account_forward_tree(int rows, int cols, const TransformConfig& config,
                           const FilterBank* row_banks,
                           const FilterBank* col_banks, LineFilter& f);

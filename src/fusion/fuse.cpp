@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/fusion/fused_plan.h"
 
 namespace vf::fusion {
@@ -12,33 +11,6 @@ namespace vf::fusion {
 namespace {
 
 using image::ImageF;
-
-// Max-magnitude selection on one complex coefficient plane. The pair
-// (re_tree, im_tree) indexes the two trees whose coefficients are combined
-// into one complex subband (AA+jBB and AB+jBA). Magnitude scratch comes from
-// the per-thread arena: this runs once per (pair, level, subband) per frame,
-// and the deeper subbands are small enough that two vector constructions per
-// call used to rival the arithmetic.
-void select_band(const ImageF& a_re, const ImageF& a_im, const ImageF& b_re,
-                 const ImageF& b_im, ImageF* out_re, ImageF* out_im,
-                 dwt::LineFilter& filter) {
-  const int n = static_cast<int>(a_re.size());
-  ArenaScope scratch;
-  float* mag_a = scratch.alloc(n);
-  float* mag_b = scratch.alloc(n);
-  filter.magnitude(a_re.data(), a_im.data(), n, mag_a);
-  filter.magnitude(b_re.data(), b_im.data(), n, mag_b);
-  *out_re = ImageF(a_re.rows(), a_re.cols());
-  *out_im = ImageF(a_im.rows(), a_im.cols());
-  filter.select(a_re.data(), a_im.data(), b_re.data(), b_im.data(), mag_a,
-                mag_b, n, out_re->data(), out_im->data());
-}
-
-void average_into(const ImageF& a, const ImageF& b, ImageF* out,
-                  dwt::LineFilter& filter) {
-  *out = ImageF(a.rows(), a.cols());
-  filter.average(a.data(), b.data(), static_cast<int>(a.size()), out->data());
-}
 
 // Always-on: the CMake default is Release, where a second frame smaller than
 // the first would otherwise be read out of bounds.
@@ -52,58 +24,16 @@ void require_frame_pair(const ImageF& a, const ImageF& b, const char* where) {
   }
 }
 
-const ImageF& band(const dwt::LevelBands& lv, int which) {
-  return which == 0 ? lv.lh : which == 1 ? lv.hl : lv.hh;
-}
 ImageF& band(dwt::LevelBands& lv, int which) {
   return which == 0 ? lv.lh : which == 1 ? lv.hl : lv.hh;
 }
 
 }  // namespace
 
-void fuse_pyramids(const dwt::DtcwtPyramid& a, const dwt::DtcwtPyramid& b,
-                   dwt::DtcwtPyramid* out, dwt::LineFilter& filter) {
-  const int levels = static_cast<int>(a.tree[0].levels.size());
-  for (int t = 0; t < 4; ++t) {
-    out->tree[t].levels.resize(levels);
-    for (int lv = 0; lv < levels; ++lv) {
-      out->tree[t].levels[lv].in_rows = a.tree[t].levels[lv].in_rows;
-      out->tree[t].levels[lv].in_cols = a.tree[t].levels[lv].in_cols;
-    }
-  }
-  // Complex pairs: (AA, BB) and (AB, BA) — trees 0&3 and 1&2.
-  const int pair_re[2] = {0, 1};
-  const int pair_im[2] = {3, 2};
-  for (int p = 0; p < 2; ++p) {
-    const int tr = pair_re[p];
-    const int ti = pair_im[p];
-    for (int lv = 0; lv < levels; ++lv) {
-      for (int sb = 0; sb < 3; ++sb) {
-        select_band(band(a.tree[tr].levels[lv], sb), band(a.tree[ti].levels[lv], sb),
-                    band(b.tree[tr].levels[lv], sb), band(b.tree[ti].levels[lv], sb),
-                    &band(out->tree[tr].levels[lv], sb),
-                    &band(out->tree[ti].levels[lv], sb), filter);
-      }
-    }
-  }
-  for (int t = 0; t < 4; ++t) {
-    average_into(a.tree[t].ll, b.tree[t].ll, &out->tree[t].ll, filter);
-  }
-}
-
 image::ImageF fuse_frames(const image::ImageF& a, const image::ImageF& b,
                           const FuseConfig& config, dwt::LineFilter& filter) {
   require_frame_pair(a, b, "fuse_frames");
-  if (dwt::host_layout() == dwt::HostLayout::kFused &&
-      dwt::FusionPlan::applicable(config.transform, filter)) {
-    const dwt::FusionPlan plan(a.rows(), a.cols(), config.transform);
-    return plan.run(a, b, filter);
-  }
-  const dwt::DtcwtPyramid pa = dwt::forward_dtcwt(a, config.transform, filter);
-  const dwt::DtcwtPyramid pb = dwt::forward_dtcwt(b, config.transform, filter);
-  dwt::DtcwtPyramid fused;
-  fuse_pyramids(pa, pb, &fused, filter);
-  return dwt::inverse_dtcwt(fused, config.transform, filter);
+  return dwt::FusionPlan(a.rows(), a.cols(), config.transform).run(a, b, filter);
 }
 
 FusionOutcome fuse_frames_with_quality(const image::ImageF& a, const image::ImageF& b,
@@ -118,6 +48,7 @@ FusionOutcome fuse_frames_with_quality(const image::ImageF& a, const image::Imag
 image::ImageF fuse_frames_dwt(const image::ImageF& a, const image::ImageF& b,
                               const DwtFuseConfig& config, dwt::LineFilter& filter) {
   require_frame_pair(a, b, "fuse_frames_dwt");
+  const simd::KernelSet& k = filter.kernels();
   dwt::TreePyramid pa = dwt::forward_tree(a, config.transform, 0, 0, filter);
   dwt::TreePyramid pb = dwt::forward_tree(b, config.transform, 0, 0, filter);
   dwt::TreePyramid fused;
@@ -135,15 +66,21 @@ image::ImageF fuse_frames_dwt(const image::ImageF& a, const image::ImageF& b,
       const ImageF& bb = band(pb.levels[lv], sb);
       const int n = static_cast<int>(ba.size());
       // Real coefficients: magnitude of (c, 0) is |c|.
-      filter.magnitude(ba.data(), zeros.data(), n, mag_a.data());
-      filter.magnitude(bb.data(), zeros.data(), n, mag_b.data());
+      k.magnitude(ba.data(), zeros.data(), n, mag_a.data());
+      filter.account_magnitude(n);
+      k.magnitude(bb.data(), zeros.data(), n, mag_b.data());
+      filter.account_magnitude(n);
       ImageF& out = band(fused.levels[lv], sb);
       out = ImageF(ba.rows(), ba.cols());
-      filter.select(ba.data(), zeros.data(), bb.data(), zeros.data(), mag_a.data(),
-                    mag_b.data(), n, out.data(), out_im.data());
+      k.select(ba.data(), zeros.data(), bb.data(), zeros.data(), mag_a.data(),
+               mag_b.data(), n, out.data(), out_im.data());
+      filter.account_select(n);
     }
   }
-  average_into(pa.ll, pb.ll, &fused.ll, filter);
+  // Lowpass residue: not time-accounted (no backend ever charged for it).
+  fused.ll = ImageF(pa.ll.rows(), pa.ll.cols());
+  k.average(pa.ll.data(), pb.ll.data(), static_cast<int>(pa.ll.size()),
+            fused.ll.data());
   return dwt::inverse_tree(fused, config.transform, 0, 0, filter);
 }
 

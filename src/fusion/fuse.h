@@ -25,10 +25,12 @@ struct FusionOutcome {
   image::FusionQuality quality;
 };
 
-// DT-CWT max-magnitude fusion (the paper's pipeline). All transform lines and
-// fusion-rule kernels execute through `filter`, so backends can account
-// modeled time and MACs. Empty frames, or frames of different sizes, abort
-// with a message in every build type (as does fuse_frames_dwt).
+// DT-CWT max-magnitude fusion (the paper's pipeline), run by the band-
+// streaming dwt::FusionPlan. All transform lines and fusion-rule kernels
+// take their numerics from `filter.kernels()` and report to its account_*
+// hooks, so backends can account modeled time and MACs. Empty frames, frames
+// of different sizes (as in fuse_frames_dwt), or transform.levels < 1 abort
+// with a message in every build type.
 image::ImageF fuse_frames(const image::ImageF& a, const image::ImageF& b,
                           const FuseConfig& config, dwt::LineFilter& filter);
 
@@ -39,10 +41,5 @@ FusionOutcome fuse_frames_with_quality(const image::ImageF& a, const image::Imag
 // Critically sampled single-tree DWT baseline.
 image::ImageF fuse_frames_dwt(const image::ImageF& a, const image::ImageF& b,
                               const DwtFuseConfig& config, dwt::LineFilter& filter);
-
-// Fuses an already-computed pyramid pair in place (used by the scheduler's
-// timed runner so the transform and fusion phases can be clocked separately).
-void fuse_pyramids(const dwt::DtcwtPyramid& a, const dwt::DtcwtPyramid& b,
-                   dwt::DtcwtPyramid* out, dwt::LineFilter& filter);
 
 }  // namespace vf::fusion

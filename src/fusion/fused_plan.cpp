@@ -32,17 +32,8 @@ constexpr int kPairIm[2] = {3, 2};
 // lines in a block start aligned (matches the tiled path in dwt_fusion.cpp).
 int align16(int n) { return (n + 15) & ~15; }
 
-template <typename Fn>
-void run_span(ThreadPool* pool, int n, Fn&& fn) {
-  if (pool != nullptr) {
-    pool->parallel_for(0, n, fn);
-  } else if (n > 0) {
-    fn(0, n);
-  }
-}
-
 // Edge-replicating pad of an rows x cols frame into rp x cp (rp, cp each at
-// most one larger) — the same pad_even semantics as the staged path.
+// most one larger) — the same pad_even semantics as the tiled transforms.
 void pad_raw(const float* src, int rows, int cols, int rp, int cp, float* out) {
   for (int r = 0; r < rp; ++r) {
     const float* s = src + static_cast<size_t>(r < rows ? r : rows - 1) * cols;
@@ -127,7 +118,7 @@ void extended_row_pass(const float* src, int rp, int cp, int hc, int lead,
                    hc);
     }
   };
-  run_span(pool, rp, block);
+  parallel_chunks(pool, 0, rp, block);
   extend_rows(rowlo, hc, lead, rp, ext_rows);
   extend_rows(rowhi, hc, lead, rp, ext_rows);
 }
@@ -201,20 +192,14 @@ FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
   }
 }
 
-bool FusionPlan::applicable(const TransformConfig& config, const LineFilter& filter) {
-  return filter.splittable() && config.levels >= 1;
-}
-
 ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
                        const StageHooks& hooks) const {
   // Always-on: the CMake default is Release, where an assert would let a
   // frame smaller than the plan read out of bounds.
   if (a.rows() != rows_ || a.cols() != cols_ || b.rows() != rows_ ||
-      b.cols() != cols_ || !f.splittable()) {
-    std::fprintf(stderr,
-                 "fatal: FusionPlan::run(%dx%d, %dx%d) on a %dx%d plan%s\n",
-                 a.rows(), a.cols(), b.rows(), b.cols(), rows_, cols_,
-                 f.splittable() ? "" : " with a non-splittable filter");
+      b.cols() != cols_) {
+    std::fprintf(stderr, "fatal: FusionPlan::run(%dx%d, %dx%d) on a %dx%d plan\n",
+                 a.rows(), a.cols(), b.rows(), b.cols(), rows_, cols_);
     std::abort();
   }
 
@@ -238,8 +223,8 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
 
   // Level-0 row passes, shared across the two complex pairs: in both pairs
   // the re side is row-tree A and the im side row-tree B, so four passes
-  // (frame x side) cover all eight (frame x tree) level-0 row transforms the
-  // staged path runs. Their outputs are extended row-pass planes.
+  // (frame x side) cover all eight (frame x tree) level-0 row transforms of
+  // a staged fusion. Their outputs are extended row-pass planes.
   const size_t ext0 = static_cast<size_t>(d0.ext_rows) * d0.hc;
   float* row0lo[2][2];
   float* row0hi[2][2];
@@ -414,7 +399,7 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
             }
           }
         };
-        run_span(pool, (dl.hr + dl.strip - 1) / dl.strip * nblocks, col_items);
+        parallel_chunks(pool, 0, (dl.hr + dl.strip - 1) / dl.strip * nblocks, col_items);
       }  // transient level scope
 
       if (!deep) {
@@ -485,7 +470,7 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
             }
           }
         };
-        run_span(pool, blocks_of(dl.hc), col_block);
+        parallel_chunks(pool, 0, blocks_of(dl.hc), col_block);
 
         // Row synthesis back to the padded plane of this level: the tiled
         // path's wrap fill, then the multi-line synthesis kernel.
@@ -505,7 +490,7 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
                             padded + static_cast<size_t>(r) * dl.cp, dl.cp);
           }
         };
-        run_span(pool, dl.rp, row_block);
+        parallel_chunks(pool, 0, dl.rp, row_block);
 
         if (L > 0) {
           ll_in = padded;
@@ -533,7 +518,7 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
   }
   for (size_t i = 0; i < n; ++i) acc[i] *= 0.25f;
 
-  // --- serial accounting replay, in the staged path's canonical order ----
+  // --- serial accounting replay, in the staged transforms' canonical order
   if (hooks.before_forward) hooks.before_forward();
   for (int x = 0; x < 2; ++x) {
     for (int t = 0; t < 4; ++t) {
@@ -586,7 +571,7 @@ FusionPlan::Traffic FusionPlan::estimate_traffic() const {
     t.flops += 2.0 * 3.0 * (2.0 * 4.0 * Q + Q);
     if (L == DL) t.flops += 4.0 * 2.0 * Q;
 
-    // Staged (kTiled): per tree-level, forward = row pass (r+w) + transpose
+    // Staged (tiled transforms): per tree-level, forward = row pass (r+w) + transpose
     // of both half-planes (r+w) + column pass (r+w) + transpose of the four
     // quarter planes back (r+w) = 8P element moves; x8 trees. Inverse
     // mirrors it with 4 transposes of quarter/half planes = 8P; x4 trees.

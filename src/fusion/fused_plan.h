@@ -1,9 +1,8 @@
 // Band-streaming fused execution plan for the host fusion hot path.
 //
-// The staged path (fuse_frames under HostLayout::kTiled) runs four full-image
-// passes — forward A, forward B, magnitude/select, inverse — and materializes
-// two complete DtcwtPyramids in between, so every band plane crosses DRAM
-// several times. The paper's PL engine wins precisely by not doing that: it
+// A staged fusion (forward_dtcwt of each frame, a magnitude/select pass,
+// inverse_dtcwt) runs four full-image passes and materializes two complete
+// DtcwtPyramids in between, so every band plane crosses DRAM several times. The paper's PL engine wins precisely by not doing that: it
 // streams lines through a fused analyze→fuse→synthesize datapath. FusionPlan
 // is the host-side equivalent:
 //
@@ -25,16 +24,18 @@
 //     by stride;
 //   * all scratch comes from the per-thread arena.
 //
-// Bit-identity is by construction, not by tolerance: every line sees the same
-// extended samples as in the staged path and every output is computed in the
-// scalar kernels' order (lane-interleaved kernels vectorize across lines, not
-// along them — see kernels.h), the
-// reconstruction accumulates trees in the same order, and the filter's
-// account_*/barrier() bookkeeping is replayed serially afterwards in the
-// exact canonical sequence the staged path emits (forward A trees 0-3,
-// forward B trees 0-3, fusion pair/level/subband, inverse trees 0-3).
-// StageHooks let a timed runner interleave its phase transitions with that
-// replay, so every backend observes the same call stream as before.
+// FusionPlan is the only implementation of fuse_frames and of the timed
+// runners' frame pair, for every KernelSet (float flavours and the fixed-
+// point datapath alike). Bit-identity with the staged transforms is by
+// construction, not by tolerance: every line sees the same extended samples
+// and every output is computed in the scalar kernels' order (lane-
+// interleaved kernels vectorize across lines, not along them — see
+// kernels.h), the reconstruction accumulates trees in the same order, and
+// the filter's account_*/barrier() bookkeeping is replayed serially
+// afterwards in the canonical staged sequence (forward A trees 0-3, forward
+// B trees 0-3, fusion pair/level/subband, inverse trees 0-3). The scalar
+// reference in tests/dtcwt_oracle.h pins the numerics. StageHooks let a
+// timed runner interleave its phase transitions with that replay.
 #pragma once
 
 #include <functional>
@@ -49,34 +50,27 @@ class FusionPlan {
   // Callbacks fired between the replay stages (never during the numerics,
   // which make no filter calls besides kernels()). A timed runner hangs its
   // backend phase transitions here so the modeled call sequence —
-  // set_phase(forward), accounting, set_phase(fusion), ... — is identical
-  // to the staged path's.
+  // set_phase(forward), forward accounting, set_phase(fusion), ... — keeps
+  // each account_* call inside the phase it is charged to.
   struct StageHooks {
     std::function<void()> before_forward;
     std::function<void()> before_fusion;
     std::function<void()> before_inverse;
   };
 
-  // Aborts (in every build type) on empty dims or zero levels.
+  // Aborts (in every build type) on empty dims or fewer than one level.
   FusionPlan(int rows, int cols, const TransformConfig& config);
-
-  // The plan handles splittable filters (numerics expressible as a
-  // KernelSet) with at least one decomposition level; everything else stays
-  // on the staged path.
-  static bool applicable(const TransformConfig& config,
-                         const LineFilter& filter);
 
   // Fuse one frame pair. Numerics first (pool-parallel over line blocks when
   // the filter has a pool), then the serial accounting replay. Frames that
-  // do not match the plan's dims, or a non-splittable filter, abort with a
-  // message in every build type.
+  // do not match the plan's dims abort with a message in every build type.
   image::ImageF run(const image::ImageF& a, const image::ImageF& b,
                     LineFilter& filter, const StageHooks& hooks = {}) const;
 
   // Estimated DRAM traffic per frame pair, derived from the pass structure
   // (each plane-sized read/write a pass makes, x4 bytes; block scratch that
-  // stays cache-resident is not charged). `staged_bytes` models the kTiled
-  // layout, `fused_bytes` this plan; `flops` counts the transform MACs (x2)
+  // stays cache-resident is not charged). `staged_bytes` models a staged
+  // fusion over the tiled transforms, `fused_bytes` this plan; `flops` counts the transform MACs (x2)
   // plus the fusion-rule ops, for arithmetic-intensity reporting in
   // bench_pipeline --json. `fused_bytes` still charges the plane transposes
   // the plan ran before its column passes went lane-interleaved; it is kept

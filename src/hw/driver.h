@@ -211,7 +211,7 @@ class PipelinedWaveletAccelerator {
     // up to this many batches; the rest of the chain pays only the
     // descriptor build/fetch charges (DriverCosts::sg_*). 1 = every batch
     // is a chain head, i.e. the flat per-batch driver entry — bit-identical
-    // to the pre-SG schedule.
+    // to the pre-SG schedule. Must be >= 1: the constructor aborts otherwise.
     int sg_chain_len = 1;
   };
 
@@ -233,7 +233,17 @@ class PipelinedWaveletAccelerator {
                               Timeline* timeline, ResourceId ps, ResourceId dma,
                               ResourceId pl)
       : engine_(engine), costs_(costs), batching_(batching), timeline_(timeline),
-        ps_(ps), dma_(dma), pl_(pl) {}
+        ps_(ps), dma_(dma), pl_(pl) {
+    // Always-on: a chain of no batches has no meaning, and silently treating
+    // it as 1 would misreport the schedule the caller asked for.
+    if (batching.sg_chain_len < 1) {
+      std::fprintf(stderr,
+                   "fatal: PipelinedWaveletAccelerator: sg_chain_len %d "
+                   "(must be >= 1)\n",
+                   batching.sg_chain_len);
+      std::abort();
+    }
+  }
 
   const hw::WaveletEngineConfig& engine() const { return engine_; }
   const DriverCosts& costs() const { return costs_; }
@@ -321,7 +331,7 @@ class PipelinedWaveletAccelerator {
     // the armed ring (small PS charge) and the DMA fetches it before the
     // input burst. Chains persist across barriers (descriptors are armed
     // ahead of the data dependency) and close at flush().
-    const int chain_len = batching_.sg_chain_len < 1 ? 1 : batching_.sg_chain_len;
+    const int chain_len = batching_.sg_chain_len;
     const bool chain_head = chain_pos_ == 0;
     const int buf = costs_.double_buffering ? (driver_calls_ & 1) : 0;
     const SimDuration drv_ready = std::max(dep_ready_, buffer_free_[buf]);

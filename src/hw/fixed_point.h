@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "src/fusion/dwt_fusion.h"
+#include "src/simd/dispatch.h"
 
 namespace vf::hw {
 
@@ -22,27 +22,19 @@ struct FixedPointFormat {
   double step() const;
 };
 
-// LineFilter whose datapath mimics the fixed-point engine: coefficients and
-// line samples are quantized to the format, products accumulate in a wide
-// DSP48-style accumulator (exact), and each output is quantized on the way
-// back to memory.
-class FixedPointLineFilter : public dwt::LineFilter {
- public:
-  explicit FixedPointLineFilter(FixedPointFormat fmt) : fmt_(fmt) {}
-
-  void analyze(const float* ext, int out_len, const float* lp, const float* hp,
-               int taps, float* lo, float* hi) override;
-  void synthesize(const float* ext, int pairs, const float* ca, const float* cb,
-                  int taps, float* out) override;
-
-  // The quantizing datapath is not expressible as a KernelSet, so every
-  // transform path must stay serial and call the combined overrides above.
-  bool splittable() const override { return false; }
-
-  const FixedPointFormat& format() const { return fmt_; }
-
- private:
-  FixedPointFormat fmt_;
-};
+// The fixed-point engine datapath as a simd::KernelSet flavour, so it runs
+// through every host path (the fused plan, the tiled transforms, the pool)
+// like the float flavours: per line, the input samples and the coefficients
+// are quantized to the format, products accumulate exactly in double (a
+// wide DSP48-style accumulator), and each output is quantized on its way
+// back to memory. The lane-interleaved analyze_mag_ml takes its magnitudes
+// from the stored, quantized outputs. magnitude, select and average (and
+// their multi-line forms) are the scalar float kernels: the fusion rule runs
+// on the PS, not in the engine.
+//
+// One set exists per format the benches and tests use: Q8.24 {32,24}, Q6.18
+// {24,18}, Q3.15 {18,15}, Q2.14 {16,14}, Q4.12 {16,12} and Q2.10 {12,10}.
+// Any other format aborts with a message.
+const simd::KernelSet& fixed_point_kernels(const FixedPointFormat& fmt);
 
 }  // namespace vf::hw

@@ -297,32 +297,15 @@ FrameRunResult TimedFusionRunner::run_frame_pair(const image::ImageF& visible,
       static_cast<int>(visible.size() + thermal.size())));
 
   FrameRunResult result;
-  if (dwt::host_layout() == dwt::HostLayout::kFused &&
-      dwt::FusionPlan::applicable(config_.transform, backend_.line_filter())) {
-    // Band-streaming plan: numerics run during kPrep (they make no backend
-    // calls), then the accounting replay fires the same phase transitions at
-    // the same points in the modeled call sequence as the staged path below.
-    const dwt::FusionPlan plan(visible.rows(), visible.cols(), config_.transform);
-    dwt::FusionPlan::StageHooks hooks;
-    hooks.before_forward = [this] { backend_.set_phase(Phase::kForward); };
-    hooks.before_fusion = [this] { backend_.set_phase(Phase::kFusion); };
-    hooks.before_inverse = [this] { backend_.set_phase(Phase::kInverse); };
-    result.fused = plan.run(visible, thermal, backend_.line_filter(), hooks);
-  } else {
-    backend_.set_phase(Phase::kForward);
-    const dwt::DtcwtPyramid pa =
-        dwt::forward_dtcwt(visible, config_.transform, backend_.line_filter());
-    const dwt::DtcwtPyramid pb =
-        dwt::forward_dtcwt(thermal, config_.transform, backend_.line_filter());
-
-    backend_.set_phase(Phase::kFusion);
-    dwt::DtcwtPyramid fused;
-    fusion::fuse_pyramids(pa, pb, &fused, backend_.line_filter());
-
-    backend_.set_phase(Phase::kInverse);
-    result.fused =
-        dwt::inverse_dtcwt(fused, config_.transform, backend_.line_filter());
-  }
+  // Band-streaming plan: numerics run during kPrep (they make no backend
+  // calls), then the accounting replay fires the phase transitions at their
+  // points in the modeled call sequence.
+  const dwt::FusionPlan plan(visible.rows(), visible.cols(), config_.transform);
+  dwt::FusionPlan::StageHooks hooks;
+  hooks.before_forward = [this] { backend_.set_phase(Phase::kForward); };
+  hooks.before_fusion = [this] { backend_.set_phase(Phase::kFusion); };
+  hooks.before_inverse = [this] { backend_.set_phase(Phase::kInverse); };
+  result.fused = plan.run(visible, thermal, backend_.line_filter(), hooks);
   backend_.finish_frame();
   result.times = backend_.frame_times();
   result.pl_times = backend_.frame_pl_times();

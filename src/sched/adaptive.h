@@ -265,7 +265,9 @@ struct FrameRunResult {
   image::ImageF fused;
 };
 
-// Runs the full fusion pipeline on one backend, clocking each phase.
+// Runs the full fusion pipeline on one backend, clocking each phase. Frame
+// pairs always run the band-streaming dwt::FusionPlan, so a transform with
+// fewer than one level aborts with a message in every build type.
 class TimedFusionRunner {
  public:
   explicit TimedFusionRunner(TransformBackend& backend,

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/fusion/dwt_fusion.h"
 #include "src/sched/pipeline.h"
 #include "src/sched/run_config.h"
 #include "src/simd/dispatch.h"
@@ -35,19 +34,6 @@ std::unique_ptr<TransformBackend> make_backend(BackendKind kind,
     std::fprintf(stderr, "fatal: unknown kernel flavour '%s' in RunConfig\n",
                  config.kernels.c_str());
     std::abort();
-  }
-  if (!config.host_layout.empty()) {
-    if (config.host_layout == "fused") {
-      dwt::set_host_layout(dwt::HostLayout::kFused);
-    } else if (config.host_layout == "tiled") {
-      dwt::set_host_layout(dwt::HostLayout::kTiled);
-    } else if (config.host_layout == "naive") {
-      dwt::set_host_layout(dwt::HostLayout::kNaive);
-    } else {
-      std::fprintf(stderr, "fatal: unknown host layout '%s' in RunConfig\n",
-                   config.host_layout.c_str());
-      std::abort();
-    }
   }
   switch (kind) {
     case BackendKind::kArm:

@@ -47,13 +47,10 @@ struct RunConfig {
   fusion::FuseConfig fuse;
 
   // Host execution. Affects only how fast the host computes the numerics;
-  // modeled time/energy is bit-identical at any width, flavour, or layout
-  // (DESIGN.md §3, §7). An empty `kernels` keeps the current dispatch set;
-  // an empty `host_layout` keeps the current layout ("fused" | "tiled" |
-  // "naive", see dwt::HostLayout).
+  // modeled time/energy is bit-identical at any width or flavour (DESIGN.md
+  // §3, §7). An empty `kernels` keeps the current dispatch set.
   HostConfig host;
   std::string kernels;
-  std::string host_layout;
 
   // Modeled hardware the stream runs on.
   hw::WaveletEngineConfig engine;

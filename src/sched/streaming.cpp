@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "src/hw/clock.h"
@@ -60,6 +62,15 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
                                  bool steal_engines, double spill_wait_frac) {
   FleetSchedule out;
   const int ns = static_cast<int>(streams.size());
+  for (int s = 0; s < ns; ++s) {
+    if (streams[static_cast<std::size_t>(s)].sg_chain_len < 1) {
+      std::fprintf(stderr,
+                   "fatal: schedule_streaming: stream %d has sg_chain_len %d "
+                   "(must be >= 1)\n",
+                   s, streams[static_cast<std::size_t>(s)].sg_chain_len);
+      std::abort();
+    }
+  }
   if (cores < 1) cores = 1;
   if (engines < 1) engines = 1;
   if (pipeline_depth < 1) pipeline_depth = 1;
@@ -314,7 +325,7 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
           es.chain_owner = bs;
           es.chain_pos = 0;
         }
-        const int chain_len = in.sg_chain_len < 1 ? 1 : in.sg_chain_len;
+        const int chain_len = in.sg_chain_len;
         const bool head = es.chain_pos == 0;
         const int buf = in.costs.double_buffering ? (es.batches & 1) : 0;
         if (op.after_barrier) fs.dep_ready = fs.last_out_end;

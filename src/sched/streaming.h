@@ -77,7 +77,7 @@ struct StreamingStreamInput {
   // Modeled hardware driving this stream's kBatch ops.
   hw::WaveletEngineConfig engine;
   driver::DriverCosts costs;
-  int sg_chain_len = 1;
+  int sg_chain_len = 1;  // >= 1; schedule_streaming aborts otherwise
 };
 
 // Replays the op streams on `cores` PS cores and `engines` PL engine slots

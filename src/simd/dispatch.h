@@ -9,11 +9,12 @@
 // guaranteed bit-identical on every compiler, so it must never become the
 // silent default underneath the determinism tests.
 //
-// LineFilter::kernels() (dwt_fusion.h) returns one of these sets; everything
-// the transform executes — including from thread-pool workers — goes through
-// the set's function pointers, which is how `--kernels` reaches every
-// backend, and how src/sched/pipeline.cpp's fusion-rule path stopped
-// hard-coding complex_magnitude_scalar.
+// LineFilter::kernels() (dwt_fusion.h) returns one of these sets, or a
+// fixed-point engine datapath built the same way (hw::fixed_point_kernels,
+// one set per Qm.n format); everything the transform executes — including
+// from thread-pool workers — goes through the set's function pointers. That
+// is how `--kernels` reaches every backend, and why no transform path needs
+// a per-filter branch.
 #pragma once
 
 #include "src/simd/kernels.h"
@@ -21,7 +22,7 @@
 namespace vf::simd {
 
 struct KernelSet {
-  const char* name;  // "scalar" | "simd" | "autovec"
+  const char* name;  // "scalar" | "simd" | "autovec" | "fixed Qm.n"
   void (*analyze)(const float* x, int out_len, const float* lp, const float* hp,
                   int taps, float* lo, float* hi);
   void (*synthesize)(const float* x, int pairs, const float* ca, const float* cb,
@@ -54,7 +55,7 @@ struct KernelSet {
   // x[j * stride + l], only the nlines live lanes read and stored. Each lane
   // keeps the scalar kernels' per-output order, so the band-streaming plan
   // (src/fusion/fused_plan.cpp) inherits the same bit-identity/1-ulp
-  // contract as the staged path. nlines, out_len/pairs and taps mean what
+  // contract as the tiled transforms. nlines, out_len/pairs and taps mean what
   // they mean for analyze_ml/synthesize_ml, so flop and line counts of a
   // call carry over.
   void (*analyze_mag_ml)(const float* x_re, const float* x_im, int x_stride,

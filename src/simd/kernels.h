@@ -88,11 +88,14 @@ void average_autovec(const float* a, const float* b, int n, float* out);
 // guarantee above carries over line by line. What a multi-line call buys is
 // host throughput: one dispatch-table indirection per 4-8 lines instead of
 // per line, scratch sizing amortized across the batch, and a contiguous walk
-// over a block of lines the caller laid out back-to-back (the cache-blocked
-// transpose in dwt_fusion.cpp produces exactly that layout for column
-// filtering). kMaxLinesPerCall bounds the batch so a block of extended
-// lines stays inside L1; it is also the lane width of the lane-interleaved
-// fused kernels below (one AVX2 register, two SSE2/NEON registers).
+// over a block of lines the caller laid out back-to-back. The tiled
+// transforms (dwt_fusion.cpp) run both passes through them — the cache-
+// blocked transpose lays the columns out as rows — and the fused plan its
+// row passes. The fixed-point sets (hw::fixed_point_kernels) keep the same
+// per-line contract with their quantizing datapath. kMaxLinesPerCall bounds
+// the batch so a block of extended lines stays inside L1; it is also the
+// lane width of the lane-interleaved fused kernels below (one AVX2 register,
+// two SSE2/NEON registers).
 inline constexpr int kMaxLinesPerCall = 8;
 
 void dual_corr_decimate2_ml_scalar(const float* x, int x_stride, int nlines,

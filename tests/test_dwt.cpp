@@ -1,6 +1,7 @@
 // Perfect-reconstruction and structural tests for the DT-CWT core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -37,14 +38,18 @@ TEST(FilterBank, SingleLevelPerfectReconstruction1D) {
   for (dwt::Wavelet w : wavelets) {
     for (int delay : {0, 1}) {
       const dwt::FilterBank bank = dwt::make_filter_bank(w, delay);
-      dwt::ScalarLineFilter filter;
+      const simd::KernelSet& k = simd::scalar_kernels();
       const int n = 64;
       Rng rng(42);
       std::vector<float> x(n), lo(n / 2), hi(n / 2), y(n);
       for (float& v : x) v = rng.next_float(-1.0f, 1.0f);
-      std::vector<float> scratch;
-      dwt::analyze_line(filter, bank, x.data(), n, lo.data(), hi.data(), scratch);
-      dwt::synthesize_line(filter, bank, lo.data(), hi.data(), n, y.data(), scratch);
+      std::vector<float> ext(n + std::max(bank.taps(), bank.synth_taps()));
+      dwt::detail::fill_analysis_ext(bank, x.data(), n, ext.data());
+      k.analyze(ext.data(), n / 2, bank.lp.data(), bank.hp.data(), bank.taps(),
+                lo.data(), hi.data());
+      dwt::detail::fill_synthesis_ext(bank, lo.data(), hi.data(), n, ext.data());
+      k.synthesize(ext.data(), n / 2, bank.ca.data(), bank.cb.data(),
+                   bank.synth_taps(), y.data());
       for (int i = 0; i < n; ++i) {
         EXPECT_NEAR(x[i], y[i], 2e-5f)
             << dwt::wavelet_name(w) << " delay=" << delay << " i=" << i;
@@ -65,7 +70,7 @@ TEST(Dtcwt, MultiLevelRoundTripUnderTolerance) {
   // frames through the full multi-level dual-tree transform.
   dwt::TransformConfig config;
   config.levels = 3;
-  dwt::ScalarLineFilter filter;
+  dwt::KernelLineFilter filter(simd::scalar_kernels());
   const ImageF img = random_image(72, 88, 7);
   const dwt::DtcwtPyramid pyr = dwt::forward_dtcwt(img, config, filter);
   const ImageF rec = dwt::inverse_dtcwt(pyr, config, filter);
@@ -79,7 +84,7 @@ TEST(Dtcwt, RoundTripOddSizesAndDeepLevels) {
     for (auto [rows, cols] : {std::pair{35, 35}, {24, 32}, {33, 47}}) {
       dwt::TransformConfig config;
       config.levels = levels;
-      dwt::ScalarLineFilter filter;
+      dwt::KernelLineFilter filter(simd::scalar_kernels());
       const ImageF img = random_image(rows, cols, 100 + levels);
       const dwt::DtcwtPyramid pyr = dwt::forward_dtcwt(img, config, filter);
       const ImageF rec = dwt::inverse_dtcwt(pyr, config, filter);
@@ -92,7 +97,7 @@ TEST(Dtcwt, RoundTripOddSizesAndDeepLevels) {
 TEST(Dtcwt, Cdf97Level1RoundTrip) {
   dwt::TransformConfig config;
   config.level1 = dwt::Wavelet::kCdf97;
-  dwt::ScalarLineFilter filter;
+  dwt::KernelLineFilter filter(simd::scalar_kernels());
   const ImageF img = random_image(48, 64, 9);
   const ImageF rec =
       dwt::inverse_dtcwt(dwt::forward_dtcwt(img, config, filter), config, filter);
@@ -104,7 +109,7 @@ TEST(Dtcwt, NonQshiftHigherBankStillFormsAConsistentDualTree) {
   // the one-sample-delayed bank and PR must still hold for all four trees.
   dwt::TransformConfig config;
   config.higher = dwt::Wavelet::kCdf97;
-  dwt::ScalarLineFilter filter;
+  dwt::KernelLineFilter filter(simd::scalar_kernels());
   const ImageF img = random_image(48, 64, 21);
   const ImageF rec =
       dwt::inverse_dtcwt(dwt::forward_dtcwt(img, config, filter), config, filter);
@@ -113,7 +118,7 @@ TEST(Dtcwt, NonQshiftHigherBankStillFormsAConsistentDualTree) {
 
 TEST(Dtcwt, SingleTreeRoundTrip) {
   dwt::TransformConfig config;
-  dwt::ScalarLineFilter filter;
+  dwt::KernelLineFilter filter(simd::scalar_kernels());
   const ImageF img = random_image(40, 40, 11);
   const dwt::TreePyramid pyr = dwt::forward_tree(img, config, 0, 0, filter);
   const ImageF rec = dwt::inverse_tree(pyr, config, 0, 0, filter);
@@ -123,7 +128,7 @@ TEST(Dtcwt, SingleTreeRoundTrip) {
 TEST(Dtcwt, DualTreeCostsFourTimesTheDwt) {
   dwt::TransformConfig config;
   const ImageF img = random_image(40, 40, 13);
-  dwt::ScalarLineFilter f1, f4;
+  dwt::KernelLineFilter f1(simd::scalar_kernels()), f4(simd::scalar_kernels());
   dwt::forward_tree(img, config, 0, 0, f1);
   dwt::forward_dtcwt(img, config, f4);
   EXPECT_EQ(4 * f1.stats().total_macs(), f4.stats().total_macs());
@@ -133,8 +138,8 @@ TEST(Dtcwt, DualTreeCostsFourTimesTheDwt) {
 TEST(Dtcwt, SimdFilterMatchesScalarBitExactly) {
   dwt::TransformConfig config;
   const ImageF img = random_image(35, 35, 17);
-  dwt::ScalarLineFilter fs;
-  dwt::SimdLineFilter fv;
+  dwt::KernelLineFilter fs(simd::scalar_kernels());
+  dwt::KernelLineFilter fv(simd::simd_kernels());
   const dwt::DtcwtPyramid ps = dwt::forward_dtcwt(img, config, fs);
   const dwt::DtcwtPyramid pv = dwt::forward_dtcwt(img, config, fv);
   for (int t = 0; t < 4; ++t) {

@@ -24,7 +24,7 @@ double max_abs_diff(const ImageF& a, const ImageF& b) {
 TEST(Fusion, FusingAFrameWithItselfReturnsTheFrame) {
   const auto pairs = sched::make_sweep_frames({40, 40}, 1);
   const ImageF& img = pairs[0].visible;
-  dwt::ScalarLineFilter filter;
+  dwt::KernelLineFilter filter(simd::scalar_kernels());
   const ImageF fused = fuse_frames(img, img, fusion::FuseConfig{}, filter);
   // Identical inputs -> selection is a no-op -> transform round trip.
   EXPECT_LT(max_abs_diff(img, fused), 1e-4);
@@ -34,7 +34,7 @@ TEST(Fusion, FusedFrameCarriesTargetAndSceneContent) {
   const auto pairs = sched::make_sweep_frames({88, 72}, 1);
   const ImageF& vis = pairs[0].visible;
   const ImageF& ir = pairs[0].thermal;
-  dwt::ScalarLineFilter filter;
+  dwt::KernelLineFilter filter(simd::scalar_kernels());
   const fusion::FusionOutcome outcome =
       fuse_frames_with_quality(vis, ir, fusion::FuseConfig{}, filter);
   // The fused frame must be more informative about BOTH inputs than either
@@ -49,14 +49,14 @@ TEST(Fusion, FusedFrameCarriesTargetAndSceneContent) {
 TEST(Fusion, DwtBaselineRunsAndPreservesSelfFusion) {
   const auto pairs = sched::make_sweep_frames({35, 35}, 1);
   const ImageF& img = pairs[0].visible;
-  dwt::ScalarLineFilter filter;
+  dwt::KernelLineFilter filter(simd::scalar_kernels());
   const ImageF fused = fuse_frames_dwt(img, img, fusion::DwtFuseConfig{}, filter);
   EXPECT_LT(max_abs_diff(img, fused), 1e-4);
 }
 
 TEST(Fusion, DtcwtUsesFourTimesTheDwtTransformWork) {
   const auto pairs = sched::make_sweep_frames({64, 48}, 1);
-  dwt::ScalarLineFilter f_dwt, f_dtcwt;
+  dwt::KernelLineFilter f_dwt(simd::scalar_kernels()), f_dtcwt(simd::scalar_kernels());
   fuse_frames_dwt(pairs[0].visible, pairs[0].thermal, fusion::DwtFuseConfig{}, f_dwt);
   fuse_frames(pairs[0].visible, pairs[0].thermal, fusion::FuseConfig{}, f_dtcwt);
   EXPECT_EQ(4 * f_dwt.stats().total_macs(), f_dtcwt.stats().total_macs());
@@ -87,10 +87,12 @@ TEST(Fusion, BackendsProduceIdenticalFusedOutput) {
 
 // The CMake default is Release, so these checks must hold without assert: a
 // second frame smaller than the first, an empty pair, or a frame that does
-// not match a plan's dims would otherwise be read out of bounds.
+// not match a plan's dims would otherwise be read out of bounds. Frame pairs
+// always run the fused plan, so a zero-level transform is refused at both
+// frame-pair entry points too.
 TEST(FuseFramesDeathTest, RejectsMismatchedOrEmptyFramesInEveryBuild) {
   const ImageF a(8, 8, 0.5f), narrow(8, 6, 0.5f), empty;
-  dwt::SimdLineFilter filter;
+  dwt::KernelLineFilter filter(simd::simd_kernels());
   EXPECT_DEATH(fuse_frames(a, narrow, fusion::FuseConfig{}, filter), "fuse_frames");
   EXPECT_DEATH(fuse_frames(narrow, a, fusion::FuseConfig{}, filter), "fuse_frames");
   EXPECT_DEATH(fuse_frames(empty, empty, fusion::FuseConfig{}, filter),
@@ -101,6 +103,12 @@ TEST(FuseFramesDeathTest, RejectsMismatchedOrEmptyFramesInEveryBuild) {
   EXPECT_DEATH(plan.run(a, narrow, filter), "FusionPlan::run");
   EXPECT_DEATH(plan.run(narrow, narrow, filter), "FusionPlan::run");
   EXPECT_DEATH(dwt::FusionPlan(0, 8, dwt::TransformConfig{}), "FusionPlan");
+  fusion::FuseConfig flat;
+  flat.transform.levels = 0;
+  EXPECT_DEATH(fuse_frames(a, a, flat, filter), "FusionPlan\\(8x8, 0 levels\\)");
+  sched::NeonBackend neon;
+  sched::TimedFusionRunner runner(neon, flat);
+  EXPECT_DEATH(runner.run_frame_pair(a, a), "FusionPlan\\(8x8, 0 levels\\)");
   // Matching frames still fuse.
   EXPECT_EQ(plan.run(a, a, filter).cols(), 8);
 }

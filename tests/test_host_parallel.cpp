@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "src/sched/adaptive.h"
 #include "src/sched/pipeline.h"
 #include "src/simd/dispatch.h"
+#include "tests/dtcwt_oracle.h"
 
 namespace {
 
@@ -102,17 +104,18 @@ TEST(HostPoolRegistry, SerialWidthsHaveNoPool) {
 
 // --- bit-identity across thread counts --------------------------------------
 
-std::uint64_t fnv1a(const float* data, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n * sizeof(float); ++i) {
-    h ^= reinterpret_cast<const unsigned char*>(data)[i];
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+std::uint64_t fnv1a_bytes(const void* data, std::size_t n, std::uint64_t h) {
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= static_cast<const unsigned char*>(data)[i];
     h *= 1099511628211ull;
   }
   return h;
 }
 
 std::uint64_t hash_image(const image::ImageF& img) {
-  return fnv1a(img.data(), img.size());
+  return fnv1a_bytes(img.data(), img.size() * sizeof(float), kFnvBasis);
 }
 
 const int kThreadWidths[] = {1, 2, 8};
@@ -122,7 +125,7 @@ TEST(HostParallelIdentity, FusedImageBitsInvariantAcrossThreads) {
   const auto frames = sched::make_sweep_frames({88, 72}, 1);
   std::uint64_t ref_hash = 0;
   for (int n : kThreadWidths) {
-    dwt::SimdLineFilter filter{HostConfig{n}};
+    dwt::KernelLineFilter filter(simd::simd_kernels(), HostConfig{n});
     const image::ImageF fused =
         fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, filter);
     const std::uint64_t h = hash_image(fused);
@@ -138,10 +141,10 @@ TEST(HostParallelIdentity, FusedImageBitsInvariantAcrossThreads) {
 // equal (not merely close) at any width.
 TEST(HostParallelIdentity, FilterStatsInvariantAcrossThreads) {
   const auto frames = sched::make_sweep_frames({64, 48}, 1);
-  dwt::ScalarLineFilter serial;
+  dwt::KernelLineFilter serial(simd::scalar_kernels());
   (void)fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, serial);
   for (int n : {2, 8}) {
-    dwt::ScalarLineFilter pooled{HostConfig{n}};
+    dwt::KernelLineFilter pooled(simd::scalar_kernels(), HostConfig{n});
     const image::ImageF fused =
         fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, pooled);
     EXPECT_EQ(pooled.stats().analysis_macs, serial.stats().analysis_macs);
@@ -213,117 +216,177 @@ TEST(HostParallelIdentity, PipelinedRunInvariantAcrossThreads) {
   }
 }
 
-// --- bit-identity across host memory layouts ---------------------------------
+// --- one host path, pinned by the scalar oracle -----------------------------
 
-struct LayoutRestore {
-  ~LayoutRestore() { dwt::set_host_layout(dwt::HostLayout::kFused); }
-};
+// Kernel sets whose fused bits must equal the oracle's exactly.
+const simd::KernelSet* const kExactSets[] = {&simd::scalar_kernels(),
+                                             &simd::simd_kernels()};
 
-const dwt::HostLayout kLayouts[] = {dwt::HostLayout::kNaive,
-                                    dwt::HostLayout::kTiled,
-                                    dwt::HostLayout::kFused};
+bool same_bits(const image::ImageF& a, const image::ImageF& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
 
-// The tiled and band-streaming-fused paths are pure layout changes: per-line
-// arithmetic order is pinned by the kernel contracts (the lane-interleaved
-// column kernels keep each column's scalar order), so fused bits must match
-// the naive per-line path exactly — at sizes that are all tile tail (1xN),
-// straddle the 8x8 tile edge (9x7, 33x25), have odd rows at scale (88x71),
-// and at the paper's largest frame, for every pool width. The fused plan
-// filters columns in blocks of 8 lanes: the widths below leave every partial
-// block of 1..7 lanes at some level (2x2 .. 46x38, with odd deep-level
-// dims), and 640x50 splits its level-0 column pass into several row strips.
-TEST(HostLayoutIdentity, AllLayoutsFuseIdenticalBits) {
-  LayoutRestore restore;
+// fuse_frames (always the band-streaming plan) against the scalar oracle at
+// sizes that are all tile tail (1xN), straddle the 8x8 tile edge (9x7,
+// 33x25), have odd rows at scale (88x71), and at the paper's largest frame,
+// for every pool width and exact kernel set. The plan filters columns in
+// blocks of 8 lanes: the widths below leave every partial block of 1..7
+// lanes at some level (2x2 .. 46x38, with odd deep-level dims), and 640x50
+// splits its level-0 column pass into several row strips. autovec may differ
+// from scalar by 1 ulp per kernel call, so it is held to a tolerance.
+TEST(OracleIdentity, FuseFramesMatchesOracleAtEveryShape) {
   const sched::FrameSize sizes[] = {{9, 7},   {33, 25}, {1, 16},  {16, 1},
                                     {88, 71}, {88, 72}, {2, 2},   {3, 5},
                                     {18, 14}, {30, 22}, {46, 38}, {32, 24},
                                     {640, 50}};
   for (const sched::FrameSize& size : sizes) {
     const auto frames = sched::make_sweep_frames(size, 1);
+    const image::ImageF& a = frames[0].visible;
+    const image::ImageF& b = frames[0].thermal;
+    const image::ImageF ref = oracle::fuse(a, b, dwt::TransformConfig{});
     for (int n : kThreadWidths) {
-      std::uint64_t hash[3] = {0, 0, 0};
-      for (int layout = 0; layout < 3; ++layout) {
-        dwt::set_host_layout(kLayouts[layout]);
-        dwt::SimdLineFilter filter{HostConfig{n}};
-        hash[layout] = hash_image(
-            fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, filter));
-        EXPECT_EQ(hash[layout], hash[0])
-            << size.width << "x" << size.height << " threads=" << n
-            << " layout=" << dwt::host_layout_name(kLayouts[layout]);
+      for (const simd::KernelSet* set : kExactSets) {
+        dwt::KernelLineFilter filter(*set, HostConfig{n});
+        EXPECT_TRUE(same_bits(fusion::fuse_frames(a, b, {}, filter), ref))
+            << size.width << "x" << size.height << " threads=" << n << " "
+            << set->name;
+      }
+      dwt::KernelLineFilter autovec(simd::autovec_kernels(), HostConfig{n});
+      const image::ImageF got = fusion::fuse_frames(a, b, {}, autovec);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_NEAR(got.data()[i], ref.data()[i], 1e-5)
+            << size.width << "x" << size.height << " autovec threads=" << n;
       }
     }
   }
 }
 
-// MAC statistics across layouts: the fused plan's accounting replay must
-// emit exactly the staged sequence (same line counts, same per-line shapes).
-TEST(HostLayoutIdentity, FilterStatsInvariantAcrossLayouts) {
-  LayoutRestore restore;
-  const auto frames = sched::make_sweep_frames({33, 25}, 1);
-  dwt::FilterStats ref;
-  for (int layout = 0; layout < 3; ++layout) {
-    dwt::set_host_layout(kLayouts[layout]);
-    dwt::ScalarLineFilter filter{HostConfig{2}};
-    (void)fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, filter);
-    if (layout == 0) {
-      ref = filter.stats();
-      continue;
+// The staged transforms (the only implementation of standalone
+// forward_dtcwt/inverse_dtcwt and the DWT baseline) against the oracle:
+// every band of every tree, the reconstruction, and fuse_frames_dwt.
+TEST(OracleIdentity, StandaloneTransformsMatchOracle) {
+  const sched::FrameSize sizes[] = {{9, 7}, {33, 25}, {1, 16}, {88, 71}, {46, 38}};
+  for (const sched::FrameSize& size : sizes) {
+    const auto frames = sched::make_sweep_frames(size, 1);
+    const image::ImageF& a = frames[0].visible;
+    const dwt::TransformConfig config;
+    const dwt::DtcwtPyramid ref = oracle::forward_dtcwt(a, config);
+    const image::ImageF ref_rec = oracle::inverse_dtcwt(ref, config);
+    const image::ImageF ref_dwt =
+        oracle::fuse_dwt(a, frames[0].thermal, config);
+    for (int n : kThreadWidths) {
+      for (const simd::KernelSet* set : kExactSets) {
+        dwt::KernelLineFilter filter(*set, HostConfig{n});
+        const std::string at = std::to_string(size.width) + "x" +
+                               std::to_string(size.height) + " threads=" +
+                               std::to_string(n) + " " + set->name;
+        const dwt::DtcwtPyramid pyr = dwt::forward_dtcwt(a, config, filter);
+        for (int t = 0; t < 4; ++t) {
+          ASSERT_EQ(pyr.tree[t].levels.size(), ref.tree[t].levels.size()) << at;
+          for (std::size_t lv = 0; lv < ref.tree[t].levels.size(); ++lv) {
+            for (int sb = 0; sb < 3; ++sb) {
+              EXPECT_TRUE(same_bits(oracle::band(pyr.tree[t].levels[lv], sb),
+                                    oracle::band(ref.tree[t].levels[lv], sb)))
+                  << at << " tree " << t << " level " << lv << " band " << sb;
+            }
+          }
+          EXPECT_TRUE(same_bits(pyr.tree[t].ll, ref.tree[t].ll)) << at << " ll " << t;
+        }
+        EXPECT_TRUE(same_bits(dwt::inverse_dtcwt(pyr, config, filter), ref_rec)) << at;
+        EXPECT_TRUE(same_bits(fusion::fuse_frames_dwt(a, frames[0].thermal, {}, filter),
+                              ref_dwt))
+            << at << " dwt";
+      }
     }
-    EXPECT_EQ(filter.stats().analysis_macs, ref.analysis_macs);
-    EXPECT_EQ(filter.stats().synthesis_macs, ref.synthesis_macs);
-    EXPECT_EQ(filter.stats().analysis_lines, ref.analysis_lines);
-    EXPECT_EQ(filter.stats().synthesis_lines, ref.synthesis_lines);
   }
 }
 
-// Every modeled backend's probe totals must not notice the layout either:
-// all three paths replay the same canonical account_*()/barrier() sequence.
-TEST(HostLayoutIdentity, ModeledProbeInvariantAcrossLayouts) {
-  LayoutRestore restore;
-  const sched::FrameSize size{64, 48};
+// --- golden hashes of the modeled call stream --------------------------------
+//
+// Pinned on the last tree that still had the per-line and tiled frame-pair
+// paths (x86-64, no FMA contraction), so deleting them provably changed no
+// account_*/barrier() call and no modeled second or millijoule.
+
+// Folds every account_*/barrier() call, with its arguments, into FNV-1a.
+class RecordingFilter : public dwt::LineFilter {
+ public:
+  explicit RecordingFilter(const HostConfig& host) : pool_(host::pool(host)) {}
+  ThreadPool* pool() const override { return pool_; }
+  void barrier() override { mix(0, 0, 0); }
+  void account_analyze(int out_len, int taps) override { mix(1, out_len, taps); }
+  void account_synthesize(int pairs, int taps) override { mix(2, pairs, taps); }
+  void account_magnitude(int n) override { mix(3, n, 0); }
+  void account_select(int n) override { mix(4, n, 0); }
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  void mix(int kind, int a, int b) {
+    const int v[3] = {kind, a, b};
+    hash_ = fnv1a_bytes(v, sizeof v, hash_);
+  }
+  ThreadPool* pool_;
+  std::uint64_t hash_ = kFnvBasis;
+};
+
+template <std::size_t N>
+std::uint64_t hash_doubles(const double (&v)[N]) {
+  return fnv1a_bytes(v, sizeof v, kFnvBasis);
+}
+
+TEST(OracleIdentity, AccountSequenceMatchesGoldenHashes) {
+  struct Golden {
+    sched::FrameSize size;
+    std::uint64_t sequence;
+    std::uint64_t probe[5];  // ARM, NEON, FPGA, FPGA+batch, Adaptive
+  };
+  const Golden goldens[] = {
+      {{33, 25},
+       0xb811ccaa819ac263ull,
+       {0x4c605200adea034dull, 0xd45883de92bada54ull, 0x0501062e0feafa4dull,
+        0x90c9bb3c070ea3e3ull, 0x46cb52ff0402b37cull}},
+      {{88, 72},
+       0x577ca4fa0e8ba24full,
+       {0xef70d3375f9abfcdull, 0xe9592be91fb0aa82ull, 0xd4df8909b0338de1ull,
+        0xd689ba81e806ad7aull, 0xb2147c5fdf928ae0ull}},
+  };
   const sched::BackendKind kinds[] = {
       sched::BackendKind::kArm, sched::BackendKind::kNeon,
       sched::BackendKind::kFpga, sched::BackendKind::kFpgaBatched,
       sched::BackendKind::kAdaptive};
-  for (const sched::BackendKind kind : kinds) {
-    sched::ProbeResult res[3];
-    for (int layout = 0; layout < 3; ++layout) {
-      dwt::set_host_layout(kLayouts[layout]);
-      sched::RunConfig run;
-      const auto b = sched::make_backend(kind, run);
-      res[layout] = sched::probe_backend(*b, size, 2);
-      EXPECT_TRUE(res[layout].total == res[0].total)
-          << sched::backend_name(kind) << " layout="
-          << dwt::host_layout_name(kLayouts[layout]);
-      EXPECT_TRUE(res[layout].forward == res[0].forward)
-          << sched::backend_name(kind);
-      EXPECT_TRUE(res[layout].inverse == res[0].inverse)
-          << sched::backend_name(kind);
-      EXPECT_EQ(res[layout].energy_mj, res[0].energy_mj)
-          << sched::backend_name(kind);
+  for (const Golden& g : goldens) {
+    const std::string at =
+        std::to_string(g.size.width) + "x" + std::to_string(g.size.height);
+    const auto frames = sched::make_sweep_frames(g.size, 1);
+    for (int n : kThreadWidths) {
+      RecordingFilter rec{HostConfig{n}};
+      (void)fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, rec);
+      EXPECT_EQ(rec.hash(), g.sequence) << at << " threads=" << n;
+    }
+    for (int k = 0; k < 5; ++k) {
+      const auto b = sched::make_backend(kinds[k], sched::RunConfig{});
+      const sched::ProbeResult p = sched::probe_backend(*b, g.size, 2);
+      const double v[6] = {p.prep.sec(),    p.forward.sec(), p.fusion.sec(),
+                           p.inverse.sec(), p.total.sec(),   p.energy_mj};
+      EXPECT_EQ(hash_doubles(v), g.probe[k]) << at << " " << sched::backend_name(kinds[k]);
     }
   }
 }
 
-// The event-queue pipeline schedule too: makespan/ledger/energy must be
-// bit-identical across all three layouts.
-TEST(HostLayoutIdentity, PipelinedRunInvariantAcrossLayouts) {
-  LayoutRestore restore;
+// The event-queue pipeline, legacy and cross-frame streaming with SG chains.
+TEST(OracleIdentity, PipelinedRunMatchesGoldenHashes) {
+  const std::uint64_t golden[2] = {0x6467d32bce7fdde2ull, 0xe9cafb7fa52bcadcull};
   const auto stream = sched::make_sweep_frames({33, 25}, 3);
-  sched::PipelineRunResult res[3];
-  for (int layout = 0; layout < 3; ++layout) {
-    dwt::set_host_layout(kLayouts[layout]);
+  for (int cross = 0; cross < 2; ++cross) {
     sched::RunConfig rc;
+    rc.cross_frame = cross != 0;
+    rc.batching.sg_chain_len = cross ? 4 : 1;
     sched::BatchedFpgaBackend backend(rc);
-    res[layout] = sched::run_pipelined(backend, stream);
-    if (layout == 0) continue;
-    EXPECT_TRUE(res[layout].makespan == res[0].makespan)
-        << dwt::host_layout_name(kLayouts[layout]);
-    EXPECT_TRUE(res[layout].serial_total == res[0].serial_total);
-    EXPECT_TRUE(res[layout].ps_busy == res[0].ps_busy);
-    EXPECT_TRUE(res[layout].pl_busy == res[0].pl_busy);
-    EXPECT_EQ(res[layout].energy_mj, res[0].energy_mj);
-    EXPECT_EQ(res[layout].energy_gated_mj, res[0].energy_gated_mj);
+    const sched::PipelineRunResult r = sched::run_pipelined(backend, stream, rc);
+    const double v[7] = {r.serial_total.sec(), r.makespan.sec(), r.ps_busy.sec(),
+                         r.pl_busy.sec(),      r.sustained_fps,  r.energy_mj,
+                         r.energy_gated_mj};
+    EXPECT_EQ(hash_doubles(v), golden[cross]) << "cross_frame=" << cross;
   }
 }
 
@@ -333,20 +396,26 @@ struct KernelSetRestore {
   ~KernelSetRestore() { simd::set_active_kernels("simd"); }
 };
 
-// The dispatch default ("simd") is bit-identical to "scalar", so switching
-// flavours must not move a single fused bit either.
+// The scalar and simd sets must fuse to the same bits, both through a filter
+// pinned to each set and through the process-wide dispatch that the modeled
+// backends' filters read (LineFilter::kernels() default).
 TEST(HostParallelIdentity, ScalarAndSimdDispatchFuseIdentically) {
   KernelSetRestore restore;
   const auto frames = sched::make_sweep_frames({40, 40}, 1);
-  ASSERT_TRUE(simd::set_active_kernels("scalar"));
-  dwt::SimdLineFilter f_scalar{HostConfig{2}};
-  const std::uint64_t h_scalar = hash_image(
-      fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, f_scalar));
-  ASSERT_TRUE(simd::set_active_kernels("simd"));
-  dwt::SimdLineFilter f_simd{HostConfig{2}};
-  const std::uint64_t h_simd = hash_image(
-      fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, f_simd));
-  EXPECT_EQ(h_scalar, h_simd);
+  auto fuse_with = [&](const simd::KernelSet& set) {
+    dwt::KernelLineFilter filter(set, HostConfig{2});
+    return hash_image(
+        fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, filter));
+  };
+  const std::uint64_t h_scalar = fuse_with(simd::scalar_kernels());
+  EXPECT_EQ(fuse_with(simd::simd_kernels()), h_scalar);
+  for (const char* name : {"scalar", "simd"}) {
+    ASSERT_TRUE(simd::set_active_kernels(name));
+    ASSERT_STREQ(simd::active_kernels().name, name);
+    EXPECT_EQ(fuse_with(simd::active_kernels()), h_scalar) << name;
+    const auto neon = sched::make_backend(sched::BackendKind::kNeon, sched::RunConfig{});
+    EXPECT_EQ(&neon->line_filter().kernels(), &simd::active_kernels()) << name;
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/hw/fixed_point.h"
 #include "src/simd/dispatch.h"
 
 namespace {
@@ -414,10 +415,21 @@ void expect_lanes(const std::vector<std::vector<float>>& ref, int rows,
   }
 }
 
+// The gather oracle runs the per-line entries of `oracle`: the scalar set for
+// every float flavour; a fixed-point set (hw::fixed_point_kernels) is held
+// to its own per-line analyze/synthesize, at 0 ulp.
+const simd::KernelSet& fixed_set() { return hw::fixed_point_kernels({18, 15}); }
+std::vector<FusedFlavour> fixed_flavour() {
+  const simd::KernelSet& k = fixed_set();
+  return {{k.name, k.analyze_mag_ml, k.select_synth_ml, true}};
+}
+
 // One analyze_mag_ml case against the oracle, in every flavour, with and
 // without the magnitude outputs.
 void check_analyze_mag(int nlines, int out_len, int taps, int x_stride,
-                       int out_stride) {
+                       int out_stride,
+                       const simd::KernelSet& oracle = simd::scalar_kernels(),
+                       const std::vector<FusedFlavour>& flavours = fused_flavours()) {
   const int rows = 2 * out_len + taps;
   const auto x_re = lane_plane(rows, x_stride, nlines, 40 + taps);
   const auto x_im = lane_plane(rows, x_stride, nlines, 41 + taps);
@@ -429,18 +441,16 @@ void check_analyze_mag(int nlines, int out_len, int taps, int x_stride,
   for (int l = 0; l < nlines; ++l) {
     const auto re = gather_lane(x_re, rows, x_stride, l);
     const auto im = gather_lane(x_im, rows, x_stride, l);
-    simd::dual_corr_decimate2_scalar(re.data(), out_len, lp_re.data(), hp_re.data(),
-                                     taps, ref[0][l].data(), ref[1][l].data());
-    simd::dual_corr_decimate2_scalar(im.data(), out_len, lp_im.data(), hp_im.data(),
-                                     taps, ref[2][l].data(), ref[3][l].data());
-    simd::complex_magnitude_scalar(ref[0][l].data(), ref[2][l].data(), out_len,
-                                   ref[4][l].data());
-    simd::complex_magnitude_scalar(ref[1][l].data(), ref[3][l].data(), out_len,
-                                   ref[5][l].data());
+    oracle.analyze(re.data(), out_len, lp_re.data(), hp_re.data(), taps,
+                   ref[0][l].data(), ref[1][l].data());
+    oracle.analyze(im.data(), out_len, lp_im.data(), hp_im.data(), taps,
+                   ref[2][l].data(), ref[3][l].data());
+    oracle.magnitude(ref[0][l].data(), ref[2][l].data(), out_len, ref[4][l].data());
+    oracle.magnitude(ref[1][l].data(), ref[3][l].data(), out_len, ref[5][l].data());
   }
   const char* names[6] = {"lo_re", "hi_re", "lo_im", "hi_im", "mag_lo", "mag_hi"};
   const std::size_t out_total = static_cast<std::size_t>(out_len) * out_stride;
-  for (const FusedFlavour& fl : fused_flavours()) {
+  for (const FusedFlavour& fl : flavours) {
     for (const bool with_mag : {true, false}) {
       std::vector<float> out[6];
       for (auto& o : out) o.assign(out_total, kSentinel);
@@ -467,7 +477,9 @@ void check_analyze_mag(int nlines, int out_len, int taps, int x_stride,
 // One select_synth_ml case, fused (select by magnitude) or verbatim (null
 // *_b), against the oracle in every flavour.
 void check_select_synth(int nlines, int pairs, int taps, int synth_offset,
-                        bool fuse_select, int in_stride, int out_stride) {
+                        bool fuse_select, int in_stride, int out_stride,
+                        const simd::KernelSet& oracle = simd::scalar_kernels(),
+                        const std::vector<FusedFlavour>& flavours = fused_flavours()) {
   std::vector<float> in[8];  // lo_a lo_b mlo_a mlo_b hi_a hi_b mhi_a mhi_b
   for (int i = 0; i < 8; ++i) in[i] = lane_plane(pairs, in_stride, nlines, 50 + i);
   const auto ca = randv(taps, 58), cb = randv(taps, 59);
@@ -488,11 +500,10 @@ void check_select_synth(int nlines, int pairs, int taps, int synth_offset,
       const int src = ((k - synth_offset) % n + n) % n;
       ext[static_cast<std::size_t>(k)] = (src & 1) ? hi[src / 2] : lo[src / 2];
     }
-    simd::dual_corr_decimate2_ileave_scalar(ext.data(), pairs, ca.data(), cb.data(),
-                                            taps, ref[l].data());
+    oracle.synthesize(ext.data(), pairs, ca.data(), cb.data(), taps, ref[l].data());
   }
   auto b = [&](int i) { return fuse_select ? in[i].data() : nullptr; };
-  for (const FusedFlavour& fl : fused_flavours()) {
+  for (const FusedFlavour& fl : flavours) {
     std::vector<float> out(static_cast<std::size_t>(n) * out_stride, kSentinel);
     fl.select_synth(in[0].data(), b(1), in[2].data(), in[3].data(), in[4].data(),
                     b(5), in[6].data(), in[7].data(), in_stride, nlines, pairs,
@@ -533,6 +544,7 @@ TEST(LaneKernels, AnalyzeMagMlSweep) {
         check_analyze_mag(nlines, out_len, taps, simd::kMaxLinesPerCall,
                           simd::kMaxLinesPerCall);
         check_analyze_mag(nlines, out_len, taps, 19, 12);
+        check_analyze_mag(nlines, out_len, taps, 19, 12, fixed_set(), fixed_flavour());
       }
     }
   }
@@ -546,6 +558,10 @@ TEST(LaneKernels, SelectSynthMlSweep) {
         check_select_synth(nlines, pairs, taps, 3 + pairs % 5, true, 19, 12);
         check_select_synth(nlines, pairs, taps, -2, false, simd::kMaxLinesPerCall,
                            simd::kMaxLinesPerCall);
+        check_select_synth(nlines, pairs, taps, 3 + pairs % 5, true, 19, 12,
+                           fixed_set(), fixed_flavour());
+        check_select_synth(nlines, pairs, taps, -2, false, simd::kMaxLinesPerCall,
+                           simd::kMaxLinesPerCall, fixed_set(), fixed_flavour());
       }
     }
   }

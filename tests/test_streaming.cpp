@@ -394,6 +394,21 @@ TEST(Streaming, GoldenScheduleOfAContendedThreeStreamReplay) {
   EXPECT_EQ(hash_events(sched.timeline), 0x860b1ad685517decull);
 }
 
+// A chain of no batches is refused in every build, not clamped to 1: at the
+// accelerator (so RunConfig and --sg-chain 0 fail at construction) and at
+// the streaming replay's input.
+TEST(StreamingDeathTest, RejectsNonPositiveSgChainLength) {
+  for (const int len : {0, -3}) {
+    sched::RunConfig run;
+    run.batching.sg_chain_len = len;
+    EXPECT_DEATH(sched::BatchedFpgaBackend{run}, "sg_chain_len");
+    std::vector<sched::detail::StreamingStreamInput> streams(2);
+    streams[1].sg_chain_len = len;
+    EXPECT_DEATH(sched::detail::schedule_streaming(streams, 1, 1, 1, false, 0.5),
+                 "schedule_streaming: stream 1 has sg_chain_len");
+  }
+}
+
 // --- op-list construction -----------------------------------------------------
 
 TEST(Streaming, PsSlicingIsDeterministicAndPreservesTotals) {

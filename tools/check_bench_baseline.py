@@ -27,9 +27,9 @@ import sys
 
 # Paths containing any of these substrings are host- or harness-dependent,
 # not modeled output. "host"/"wall"/"threads" cover the host config blocks
-# and wall-clock sections (host_wall_clock, host_layout_sweep, and the
-# wall_implied_gbps_* fields of transform_traffic — its byte/flop counts are
-# modeled and checked); "iterations"/"ns_per_op"/"items_per_second" are
+# and wall-clock sections (host_wall_clock, host_only_fuse, and the
+# wall_implied_gbps_fused field of transform_traffic — its byte/flop counts
+# are modeled and checked); "iterations"/"ns_per_op"/"items_per_second" are
 # google-benchmark wall-clock measurements in the bench_kernels section (its
 # modeled content is the set of benchmark names, which IS checked — a kernel
 # dropping out of the dispatch sweep fails the check).
