@@ -338,15 +338,33 @@ TEST(OracleIdentity, AccountSequenceMatchesGoldenHashes) {
   struct Golden {
     sched::FrameSize size;
     std::uint64_t sequence;
+  };
+  const Golden goldens[] = {
+      {{33, 25}, 0xb811ccaa819ac263ull},
+      {{88, 72}, 0x577ca4fa0e8ba24full},
+  };
+  for (const Golden& g : goldens) {
+    const auto frames = sched::make_sweep_frames(g.size, 1);
+    for (int n : kThreadWidths) {
+      RecordingFilter rec{HostConfig{n}};
+      (void)fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, rec);
+      EXPECT_EQ(rec.hash(), g.sequence)
+          << g.size.width << "x" << g.size.height << " threads=" << n;
+    }
+  }
+}
+
+// Every modeled backend's probe: stage times, total and energy.
+TEST(OracleIdentity, ModeledProbeMatchesGoldenHashes) {
+  struct Golden {
+    sched::FrameSize size;
     std::uint64_t probe[5];  // ARM, NEON, FPGA, FPGA+batch, Adaptive
   };
   const Golden goldens[] = {
       {{33, 25},
-       0xb811ccaa819ac263ull,
        {0x4c605200adea034dull, 0xd45883de92bada54ull, 0x0501062e0feafa4dull,
         0x90c9bb3c070ea3e3ull, 0x46cb52ff0402b37cull}},
       {{88, 72},
-       0x577ca4fa0e8ba24full,
        {0xef70d3375f9abfcdull, 0xe9592be91fb0aa82ull, 0xd4df8909b0338de1ull,
         0xd689ba81e806ad7aull, 0xb2147c5fdf928ae0ull}},
   };
@@ -355,20 +373,14 @@ TEST(OracleIdentity, AccountSequenceMatchesGoldenHashes) {
       sched::BackendKind::kFpga, sched::BackendKind::kFpgaBatched,
       sched::BackendKind::kAdaptive};
   for (const Golden& g : goldens) {
-    const std::string at =
-        std::to_string(g.size.width) + "x" + std::to_string(g.size.height);
-    const auto frames = sched::make_sweep_frames(g.size, 1);
-    for (int n : kThreadWidths) {
-      RecordingFilter rec{HostConfig{n}};
-      (void)fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, rec);
-      EXPECT_EQ(rec.hash(), g.sequence) << at << " threads=" << n;
-    }
     for (int k = 0; k < 5; ++k) {
       const auto b = sched::make_backend(kinds[k], sched::RunConfig{});
       const sched::ProbeResult p = sched::probe_backend(*b, g.size, 2);
       const double v[6] = {p.prep.sec(),    p.forward.sec(), p.fusion.sec(),
                            p.inverse.sec(), p.total.sec(),   p.energy_mj};
-      EXPECT_EQ(hash_doubles(v), g.probe[k]) << at << " " << sched::backend_name(kinds[k]);
+      EXPECT_EQ(hash_doubles(v), g.probe[k])
+          << g.size.width << "x" << g.size.height << " "
+          << sched::backend_name(kinds[k]);
     }
   }
 }
