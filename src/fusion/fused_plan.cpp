@@ -1,7 +1,6 @@
 #include "src/fusion/fused_plan.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,10 +26,6 @@ constexpr int kStripBytes = 256 * 1024;
 // (see fuse.cpp). col_tree(pair, side) = side == 0 ? pair : 1 - pair.
 constexpr int kPairRe[2] = {0, 1};
 constexpr int kPairIm[2] = {3, 2};
-
-// Extension buffers are padded to a 64-byte line boundary so consecutive
-// lines in a block start aligned (matches the tiled path in dwt_fusion.cpp).
-int align16(int n) { return (n + 15) & ~15; }
 
 // Edge-replicating pad of an rows x cols frame into rp x cp (rp, cp each at
 // most one larger) — the same pad_even semantics as the tiled transforms.
@@ -77,10 +72,11 @@ void copy_rows(const float* src, int src_stride, int rows, int nb, float* dst,
   }
 }
 
-// Completes an extended row-pass plane in place: rows [lead, lead + n) hold
-// the n rows a row pass wrote; every other row j of the ext_rows is row
+// Completes an extended plane in place: rows [lead, lead + n) hold n rows
+// of `width` floats; every other row j of the ext_rows is row
 // (j - lead) mod n of those — the periodic extension of all its columns at
-// once, so a column pass reads it at the plane stride with no gather.
+// once, so a filter walking the rows reads it at the plane stride with no
+// gather.
 void extend_rows(float* plane, int width, int lead, int n, int ext_rows) {
   const size_t bytes = static_cast<size_t>(width) * sizeof(float);
   for (int j = 0; j < ext_rows; ++j) {
@@ -91,36 +87,107 @@ void extend_rows(float* plane, int width, int lead, int n, int ext_rows) {
   }
 }
 
-// One forward row pass into an extended row-pass plane pair (ext_rows x hc):
-// the rp lines of `src` (stride cp, cp samples each) filter through the same
-// ext fill + kernel dispatch as the tiled analyze_level row pass into rows
-// [lead, lead + rp), then extend_rows completes the periodic extension
-// around them.
-void extended_row_pass(const float* src, int rp, int cp, int hc, int lead,
-                       int ext_rows, const FilterBank& bank,
-                       const simd::KernelSet& k, ThreadPool* pool, float* rowlo,
-                       float* rowhi) {
-  const int taps = bank.taps();
-  const int ext_stride = align16(cp + taps);
-  float* lo = rowlo + static_cast<size_t>(lead) * hc;
-  float* hi = rowhi + static_cast<size_t>(lead) * hc;
-  auto block = [&](int r0, int r1) {
+// Where two banks' periodic extensions ext_t[k] = x[(k - E_t) mod n] of one
+// n-row extended plane start: bank t reads ext_t[k] as plane row
+// k + skip[t] of a plane whose rows [lead, lead + n) hold x. lead = the
+// largest E_t mod n keeps every skip non-negative; `rows` covers both
+// banks' n + taps samples.
+struct PeriodicLayout {
+  int lead;
+  int skip[2];
+  int rows;
+};
+
+PeriodicLayout periodic_layout(int e0, int e1, int n, int taps) {
+  const int e[2] = {(e0 % n + n) % n, (e1 % n + n) % n};
+  PeriodicLayout w;
+  w.lead = std::max(e[0], e[1]);
+  for (int t = 0; t < 2; ++t) w.skip[t] = w.lead - e[t];
+  w.rows = std::max(n + taps + std::max(w.skip[0], w.skip[1]), w.lead + n);
+  return w;
+}
+
+// Forward row passes of both sides of a level (side s: source src[s], row
+// bank bank[s]) into extended row-pass planes (ext_rows x hc), over slabs
+// of kLineBlock rows in the lane layout — lane l of a slab is image row
+// r + l. The source rows are transposed into the slab and its periodic
+// extension completed as whole rows; one analyze_mag_ml call then filters
+// both sides (re = side 0, im = side 1, no magnitudes), reading one shared
+// slab when the sides share a source (level 0). The four lane outputs are
+// transposed into rows [lead, lead + rp), and extend_rows completes the
+// periodic extension around them.
+void forward_row_pass(const float* const src[2], int rp, int cp, int hc,
+                      int lead, int ext_rows, const FilterBank* const bank[2],
+                      const simd::KernelSet& k, ThreadPool* pool,
+                      float* const lo[2], float* const hi[2]) {
+  const int taps = bank[0]->taps();
+  const PeriodicLayout w = periodic_layout(
+      bank[0]->analysis_offset, bank[1]->analysis_offset, cp, taps);
+  const int sources = src[0] == src[1] ? 1 : 2;
+  float* const dst[4] = {lo[0], hi[0], lo[1], hi[1]};
+  auto block = [&](int b0, int b1) {
     ArenaScope scratch;
-    float* ext = scratch.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
-    for (int r = r0; r < r1; r += kLineBlock) {
-      const int nb = std::min(kLineBlock, r1 - r);
-      for (int l = 0; l < nb; ++l) {
-        detail::fill_analysis_ext(bank, src + static_cast<size_t>(r + l) * cp, cp,
-                                  ext + static_cast<size_t>(l) * ext_stride);
+    float* slab[2] = {};
+    for (int s = 0; s < sources; ++s) {
+      slab[s] = scratch.alloc(static_cast<size_t>(w.rows) * kLineBlock);
+    }
+    if (sources == 1) slab[1] = slab[0];
+    float* out[4] = {};
+    for (float*& o : out) o = scratch.alloc(static_cast<size_t>(hc) * kLineBlock);
+    for (int b = b0; b < b1; ++b) {
+      const int r = b * kLineBlock;
+      const int nb = std::min(kLineBlock, rp - r);
+      for (int s = 0; s < sources; ++s) {
+        simd::transpose_f32(src[s] + static_cast<size_t>(r) * cp, nb, cp, cp,
+                            slab[s] + static_cast<size_t>(w.lead) * kLineBlock,
+                            kLineBlock);
+        extend_rows(slab[s], kLineBlock, w.lead, cp, w.rows);
       }
-      k.analyze_ml(ext, ext_stride, nb, hc, bank.lp.data(), bank.hp.data(), taps,
-                   lo + static_cast<size_t>(r) * hc, hi + static_cast<size_t>(r) * hc,
-                   hc);
+      k.analyze_mag_ml(slab[0] + static_cast<size_t>(w.skip[0]) * kLineBlock,
+                       slab[1] + static_cast<size_t>(w.skip[1]) * kLineBlock,
+                       kLineBlock, nb, hc, bank[0]->lp.data(), bank[0]->hp.data(),
+                       bank[1]->lp.data(), bank[1]->hp.data(), taps, out[0],
+                       out[1], out[2], out[3], nullptr, nullptr, kLineBlock);
+      for (int q = 0; q < 4; ++q) {
+        simd::transpose_f32(out[q], hc, nb, kLineBlock,
+                            dst[q] + static_cast<size_t>(lead + r) * hc, hc);
+      }
     }
   };
-  parallel_chunks(pool, 0, rp, block);
-  extend_rows(rowlo, hc, lead, rp, ext_rows);
-  extend_rows(rowhi, hc, lead, rp, ext_rows);
+  parallel_chunks(pool, 0, blocks_of(rp), block);
+  for (float* plane : dst) extend_rows(plane, hc, lead, rp, ext_rows);
+}
+
+// Row synthesis of the rp rows of rowlo/rowhi (rp x hc) into `padded`
+// (rp x 2 hc), over the same kLineBlock-row slabs: both inputs are
+// transposed into lane slabs, select_synth_ml with every *_b null builds
+// each lane's wrap fill and runs the interleaved synthesis, and the
+// 2 hc x kLineBlock result is transposed back.
+void synthesis_row_pass(const float* rowlo, const float* rowhi, int rp, int hc,
+                        const FilterBank& bank, const simd::KernelSet& k,
+                        ThreadPool* pool, float* padded) {
+  const int cp = 2 * hc;
+  auto block = [&](int b0, int b1) {
+    ArenaScope scratch;
+    float* lo = scratch.alloc(static_cast<size_t>(hc) * kLineBlock);
+    float* hi = scratch.alloc(static_cast<size_t>(hc) * kLineBlock);
+    float* out = scratch.alloc(static_cast<size_t>(cp) * kLineBlock);
+    for (int b = b0; b < b1; ++b) {
+      const int r = b * kLineBlock;
+      const int nb = std::min(kLineBlock, rp - r);
+      simd::transpose_f32(rowlo + static_cast<size_t>(r) * hc, nb, hc, hc, lo,
+                          kLineBlock);
+      simd::transpose_f32(rowhi + static_cast<size_t>(r) * hc, nb, hc, hc, hi,
+                          kLineBlock);
+      k.select_synth_ml(lo, nullptr, nullptr, nullptr, hi, nullptr, nullptr,
+                        nullptr, kLineBlock, nb, hc, bank.ca.data(),
+                        bank.cb.data(), bank.synth_taps(), bank.synthesis_offset,
+                        out, kLineBlock);
+      simd::transpose_f32(out, cp, nb, kLineBlock,
+                          padded + static_cast<size_t>(r) * cp, cp);
+    }
+  };
+  parallel_chunks(pool, 0, blocks_of(rp), block);
 }
 
 }  // namespace
@@ -161,34 +228,41 @@ FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
       col_banks_[tree].push_back(detail::bank_for_level(config_, level, tree));
     }
   }
+  // One lane-interleaved call filters both trees with one tap count (the
+  // row passes' analyze_mag_ml, the column passes'), and select_synth_ml
+  // interleaves one (ca, cb) pair per call. make_filter_bank guarantees the
+  // tree-A and tree-B banks agree on window widths by construction (the
+  // level-1 delay shifts both window ends; the q-shift reversal stays inside
+  // the same 14-tap window); a config that broke it must not run.
+  for (int level = 0; level < config.levels; ++level) {
+    for (const std::vector<FilterBank>* banks : {row_banks_, col_banks_}) {
+      const FilterBank& a = banks[0][level];
+      const FilterBank& b = banks[1][level];
+      if (a.taps() != b.taps() || a.synth_taps() != b.synth_taps()) {
+        std::fprintf(stderr,
+                     "fatal: FusionPlan level %d: tree banks disagree on "
+                     "taps (%d, %d) or synth_taps (%d, %d)\n",
+                     level, a.taps(), b.taps(), a.synth_taps(), b.synth_taps());
+        std::abort();
+      }
+    }
+  }
   // Extended row-pass planes (extend_rows): the column bank of tree t reads
   // its extension ext[k] = x[(k - E_t) mod rp] as plane row k + skip[t].
-  // lead = the largest E_t mod rp keeps every skip non-negative.
   for (int level = 0; level < config.levels; ++level) {
     LevelDims& d = dims_[level];
     const int taps = col_banks_[0][level].taps();
-    int e[2];
-    for (int t = 0; t < 2; ++t) {
-      e[t] = (col_banks_[t][level].analysis_offset % d.rp + d.rp) % d.rp;
-    }
-    d.lead = std::max(e[0], e[1]);
-    for (int t = 0; t < 2; ++t) d.skip[t] = d.lead - e[t];
-    d.ext_rows = std::max(d.rp + taps + std::max(d.skip[0], d.skip[1]),
-                          d.lead + d.rp);
+    const PeriodicLayout w =
+        periodic_layout(col_banks_[0][level].analysis_offset,
+                        col_banks_[1][level].analysis_offset, d.rp, taps);
+    d.lead = w.lead;
+    d.skip[0] = w.skip[0];
+    d.skip[1] = w.skip[1];
+    d.ext_rows = w.rows;
     // Output rows per strip of the column pass: a strip's input rows of the
     // eight extended planes (2 frames x lo/hi x re/im) stay near kStripBytes.
     const int per_row = 8 * d.hc * static_cast<int>(sizeof(float));
     d.strip = std::clamp((kStripBytes / per_row - taps) / 2, 1, d.hr);
-  }
-  // analyze_mag_ml filters the re and im columns with one tap count, and
-  // select_synth_ml interleaves one (ca, cb) pair per call. Both rely on the tree-A and tree-B banks agreeing on window widths,
-  // which make_filter_bank guarantees by construction (the level-1 delay
-  // shifts both window ends; the q-shift reversal stays inside the same
-  // 14-tap window).
-  for (int level = 0; level < config.levels; ++level) {
-    assert(col_banks_[0][level].taps() == col_banks_[1][level].taps());
-    assert(col_banks_[0][level].synth_taps() == col_banks_[1][level].synth_taps());
-    (void)level;
   }
 }
 
@@ -222,19 +296,22 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
   }
 
   // Level-0 row passes, shared across the two complex pairs: in both pairs
-  // the re side is row-tree A and the im side row-tree B, so four passes
-  // (frame x side) cover all eight (frame x tree) level-0 row transforms of
-  // a staged fusion. Their outputs are extended row-pass planes.
+  // the re side is row-tree A and the im side row-tree B, so one pass per
+  // frame (both sides from one slab) covers all eight (frame x tree)
+  // level-0 row transforms of a staged fusion. Their outputs are extended
+  // row-pass planes.
   const size_t ext0 = static_cast<size_t>(d0.ext_rows) * d0.hc;
+  const FilterBank* const row_bank0[2] = {&row_banks_[0][0], &row_banks_[1][0]};
   float* row0lo[2][2];
   float* row0hi[2][2];
   for (int x = 0; x < 2; ++x) {
     for (int s = 0; s < 2; ++s) {
       row0lo[x][s] = outer.alloc(ext0);
       row0hi[x][s] = outer.alloc(ext0);
-      extended_row_pass(in[x], d0.rp, d0.cp, d0.hc, d0.lead, d0.ext_rows,
-                        row_banks_[s][0], k, pool, row0lo[x][s], row0hi[x][s]);
     }
+    const float* const src[2] = {in[x], in[x]};
+    forward_row_pass(src, d0.rp, d0.cp, d0.hc, d0.lead, d0.ext_rows, row_bank0, k,
+                     pool, row0lo[x], row0hi[x]);
   }
 
   // Per-tree reconstructions, combined at the end in tree order (the staged
@@ -297,19 +374,21 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
         // Row passes (level 0's were shared and precomputed above).
         float* rowlo[2][2];
         float* rowhi[2][2];
+        const FilterBank* const row_bank[2] = {&row_banks_[0][L], &row_banks_[1][L]};
         for (int x = 0; x < 2; ++x) {
-          for (int s = 0; s < 2; ++s) {
-            if (L == 0) {
+          if (L == 0) {
+            for (int s = 0; s < 2; ++s) {
               rowlo[x][s] = row0lo[x][s];
               rowhi[x][s] = row0hi[x][s];
-              continue;
             }
+            continue;
+          }
+          for (int s = 0; s < 2; ++s) {
             rowlo[x][s] = level.alloc(static_cast<size_t>(dl.ext_rows) * dl.hc);
             rowhi[x][s] = level.alloc(static_cast<size_t>(dl.ext_rows) * dl.hc);
-            extended_row_pass(cur[x][s], dl.rp, dl.cp, dl.hc, dl.lead,
-                              dl.ext_rows, row_banks_[s][L], k, pool, rowlo[x][s],
-                              rowhi[x][s]);
           }
+          forward_row_pass(cur[x], dl.rp, dl.cp, dl.hc, dl.lead, dl.ext_rows,
+                           row_bank, k, pool, rowlo[x], rowhi[x]);
         }
 
         // Column pass, lane-interleaved: one work item is one strip of
@@ -472,25 +551,8 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
         };
         parallel_chunks(pool, 0, blocks_of(dl.hc), col_block);
 
-        // Row synthesis back to the padded plane of this level: the tiled
-        // path's wrap fill, then the multi-line synthesis kernel.
-        const int ext_stride = align16(dl.cp + rowb.synth_taps());
-        auto row_block = [&](int r0, int r1) {
-          ArenaScope scratch;
-          float* ext = scratch.alloc(static_cast<size_t>(kLineBlock) * ext_stride);
-          for (int r = r0; r < r1; r += kLineBlock) {
-            const int nb = std::min(kLineBlock, r1 - r);
-            for (int l = 0; l < nb; ++l) {
-              const size_t row = static_cast<size_t>(r + l) * dl.hc;
-              detail::fill_synthesis_ext(rowb, rowlo + row, rowhi + row, dl.cp,
-                                         ext + static_cast<size_t>(l) * ext_stride);
-            }
-            k.synthesize_ml(ext, ext_stride, nb, dl.hc, rowb.ca.data(),
-                            rowb.cb.data(), rowb.synth_taps(),
-                            padded + static_cast<size_t>(r) * dl.cp, dl.cp);
-          }
-        };
-        parallel_chunks(pool, 0, dl.rp, row_block);
+        // Row synthesis back to the padded plane of this level.
+        synthesis_row_pass(rowlo, rowhi, dl.rp, dl.hc, rowb, k, pool, padded);
 
         if (L > 0) {
           ll_in = padded;

@@ -14,14 +14,15 @@
 //     (KernelSet::analyze_mag_ml), and at the deepest level the select rule
 //     is deferred into the inverse synthesis read (select_synth_ml), so the
 //     pass count over band data drops from ~10 to ~3 per frame pair;
-//   * every plane stays row-major end to end and the plan has no
-//     transposes: the column passes run lane-interleaved (kernels.h) over
-//     blocks of kLineBlock image columns, reading each column's periodic
-//     extension straight out of an extended row-pass plane (the row pass
-//     output with its wrapped rows copied above and below) and writing the
-//     row-major band planes; the lowpass plane is padded in place for the
-//     next level, and the inverse reads the deeper level's reconstruction
-//     by stride;
+//   * every plane stays row-major end to end, and every pass runs the
+//     lane-interleaved kernels (kernels.h) over blocks of kLineBlock lines:
+//     the column passes straight out of the row-major planes, reading each
+//     column's periodic extension from an extended row-pass plane (the row
+//     pass output with its wrapped rows copied above and below) and writing
+//     the row-major band planes; the row passes over 8-row slabs that
+//     transpose_f32 lays out in the lane layout and transposes back. The
+//     lowpass plane is padded in place for the next level, and the inverse
+//     reads the deeper level's reconstruction by stride;
 //   * all scratch comes from the per-thread arena.
 //
 // FusionPlan is the only implementation of fuse_frames and of the timed
@@ -58,7 +59,9 @@ class FusionPlan {
     std::function<void()> before_inverse;
   };
 
-  // Aborts (in every build type) on empty dims or fewer than one level.
+  // Aborts (in every build type) on empty dims, fewer than one level, or
+  // tree-A and tree-B banks of a level that disagree on taps() or
+  // synth_taps() (one lane-interleaved call filters both trees).
   FusionPlan(int rows, int cols, const TransformConfig& config);
 
   // Fuse one frame pair. Numerics first (pool-parallel over line blocks when

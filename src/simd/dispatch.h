@@ -51,8 +51,9 @@ struct KernelSet {
   // Fused cross-stage forms (kernels.h): forward column analysis + complex
   // magnitude in one walk, and magnitude select + inverse synthesis in one
   // walk. LANE-INTERLEAVED, unlike the entries above: up to
-  // kMaxLinesPerCall image columns per call, sample j of line l at
-  // x[j * stride + l], only the nlines live lanes read and stored. Each lane
+  // kMaxLinesPerCall lines per call (image columns, or the image rows of a
+  // transposed row-pass slab), sample j of line l at x[j * stride + l], only
+  // the nlines live lanes read and stored. Each lane
   // keeps the scalar kernels' per-output order, so the band-streaming plan
   // (src/fusion/fused_plan.cpp) inherits the same bit-identity/1-ulp
   // contract as the tiled transforms. nlines, out_len/pairs and taps mean what

@@ -764,18 +764,23 @@ bool host_has_avx2() {
 }
 #endif
 
-// The instantiation the *_simd entry points run: the last runnable one.
+// The instance an entry point runs: the last runnable one of its list
+// (lane_kernel_variants, transpose_variants).
+template <class Variant>
+const Variant& last_runnable(const Variant* (*list)(int*)) {
+  int n = 0;
+  const Variant* v = list(&n);
+  const Variant* pick = v;
+  for (int i = 0; i < n; ++i) {
+    if (v[i].runnable) pick = v + i;
+  }
+  return *pick;
+}
+
+// The instantiation the *_simd entry points run.
 const LaneKernelVariant& best_lane_kernels() {
-  static const LaneKernelVariant* const best = [] {
-    int n = 0;
-    const LaneKernelVariant* v = lane_kernel_variants(&n);
-    const LaneKernelVariant* pick = v;
-    for (int i = 0; i < n; ++i) {
-      if (v[i].runnable) pick = v + i;
-    }
-    return pick;
-  }();
-  return *best;
+  static const LaneKernelVariant& best = last_runnable(lane_kernel_variants);
+  return best;
 }
 
 }  // namespace
@@ -907,6 +912,41 @@ inline void transpose_tail(const float* src, int rows, int cols, int src_stride,
   }
 }
 
+// 8x8 tiles, the whole tile on the edges and a register micro-kernel
+// inside. always_inline so the AVX2 instance below compiles the loop, and
+// the micro-kernel it inlines, under its own target attribute.
+template <class Tile>
+__attribute__((always_inline)) inline void transpose_tiles(
+    const float* src, int rows, int cols, int src_stride, float* dst,
+    int dst_stride) {
+  constexpr int kTile = 8;
+  const int r8 = rows & ~(kTile - 1);
+  const int c8 = cols & ~(kTile - 1);
+  for (int r = 0; r < r8; r += kTile) {
+    for (int c = 0; c < c8; c += kTile) {
+      Tile::transpose_8x8(src + r * src_stride + c, src_stride,
+                          dst + c * dst_stride + r, dst_stride);
+    }
+    // right edge of this tile row
+    if (c8 < cols) {
+      transpose_tail(src + r * src_stride + c8, kTile, cols - c8, src_stride,
+                     dst + c8 * dst_stride + r, dst_stride);
+    }
+  }
+  // bottom edge, full width
+  if (r8 < rows) {
+    transpose_tail(src + r8 * src_stride, rows - r8, cols, src_stride,
+                   dst + r8, dst_stride);
+  }
+}
+
+struct PortableTile {
+  static void transpose_8x8(const float* src, int src_stride, float* dst,
+                            int dst_stride) {
+    transpose_tail(src, 8, 8, src_stride, dst, dst_stride);
+  }
+};
+
 #if defined(VF_SIMD_SSE2)
 inline void transpose_4x4(const float* src, int src_stride, float* dst,
                           int dst_stride) {
@@ -942,44 +982,103 @@ inline void transpose_4x4(const float* src, int src_stride, float* dst,
   vst1q_f32(dst + 2 * dst_stride, c2);
   vst1q_f32(dst + 3 * dst_stride, c3);
 }
-#else
-inline void transpose_4x4(const float* src, int src_stride, float* dst,
-                          int dst_stride) {
-  transpose_tail(src, 4, 4, src_stride, dst, dst_stride);
+#endif
+
+#if defined(VF_SIMD_SSE2) || defined(VF_SIMD_NEON)
+// Four 4x4 register-transposed quads per tile: 8x8 (two cache lines per
+// row) keeps the strided side of the tile hot while the quads shuffle.
+struct QuadTile {
+  static void transpose_8x8(const float* src, int src_stride, float* dst,
+                            int dst_stride) {
+    transpose_4x4(src, src_stride, dst, dst_stride);
+    transpose_4x4(src + 4, src_stride, dst + 4 * dst_stride, dst_stride);
+    transpose_4x4(src + 4 * src_stride, src_stride, dst + 4, dst_stride);
+    transpose_4x4(src + 4 * src_stride + 4, src_stride, dst + 4 * dst_stride + 4,
+                  dst_stride);
+  }
+};
+
+void transpose_quads(const float* src, int rows, int cols, int src_stride,
+                     float* dst, int dst_stride) {
+  transpose_tiles<QuadTile>(src, rows, cols, src_stride, dst, dst_stride);
 }
+#endif
+
+void transpose_portable(const float* src, int rows, int cols, int src_stride,
+                        float* dst, int dst_stride) {
+  transpose_tiles<PortableTile>(src, rows, cols, src_stride, dst, dst_stride);
+}
+
+#if defined(VF_LANES_AVX2)
+#if defined(__clang__)
+#pragma clang attribute push(__attribute__((target("avx2"))), apply_to = function)
+#else
+#pragma GCC push_options
+#pragma GCC target("avx2")
+#endif
+// One 8x8 tile in eight __m256 registers: unpack pairs of rows, shuffle
+// the pairs into 4-row quads within each 128-bit half, then swap halves.
+struct Avx2Tile {
+  static void transpose_8x8(const float* src, int src_stride, float* dst,
+                            int dst_stride) {
+    __m256 r[8];
+    for (int i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * src_stride);
+    __m256 t[8];
+    for (int i = 0; i < 4; ++i) {
+      t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+      t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+    }
+    __m256 u[8];
+    for (int h = 0; h < 2; ++h) {  // rows 0-3, rows 4-7
+      const __m256* q = t + 4 * h;
+      u[4 * h] = _mm256_shuffle_ps(q[0], q[2], _MM_SHUFFLE(1, 0, 1, 0));
+      u[4 * h + 1] = _mm256_shuffle_ps(q[0], q[2], _MM_SHUFFLE(3, 2, 3, 2));
+      u[4 * h + 2] = _mm256_shuffle_ps(q[1], q[3], _MM_SHUFFLE(1, 0, 1, 0));
+      u[4 * h + 3] = _mm256_shuffle_ps(q[1], q[3], _MM_SHUFFLE(3, 2, 3, 2));
+    }
+    for (int i = 0; i < 4; ++i) {
+      _mm256_storeu_ps(dst + i * dst_stride,
+                       _mm256_permute2f128_ps(u[i], u[4 + i], 0x20));
+      _mm256_storeu_ps(dst + (4 + i) * dst_stride,
+                       _mm256_permute2f128_ps(u[i], u[4 + i], 0x31));
+    }
+  }
+};
+
+void transpose_avx2(const float* src, int rows, int cols, int src_stride,
+                    float* dst, int dst_stride) {
+  transpose_tiles<Avx2Tile>(src, rows, cols, src_stride, dst, dst_stride);
+}
+#if defined(__clang__)
+#pragma clang attribute pop
+#else
+#pragma GCC pop_options
+#endif
 #endif
 
 }  // namespace
 
+const TransposeVariant* transpose_variants(int* count) {
+  static const TransposeVariant variants[] = {
+      {"portable", true, transpose_portable},
+#if defined(VF_SIMD_SSE2)
+      {"sse2", true, transpose_quads},
+#elif defined(VF_SIMD_NEON)
+      {"neon", true, transpose_quads},
+#endif
+#if defined(VF_LANES_AVX2)
+      {"avx2", host_has_avx2(), transpose_avx2},
+#endif
+  };
+  *count = static_cast<int>(sizeof(variants) / sizeof(variants[0]));
+  return variants;
+}
+
 void transpose_f32(const float* src, int rows, int cols, int src_stride,
                    float* dst, int dst_stride) {
-  // 8x8 cache tiles, each covered by four 4x4 register-transposed quads.
-  // 8x8 (two cache lines per row) keeps the strided side of the tile hot
-  // while the quads do the shuffles in registers.
-  constexpr int kTile = 8;
-  const int r8 = rows & ~(kTile - 1);
-  const int c8 = cols & ~(kTile - 1);
-  for (int r = 0; r < r8; r += kTile) {
-    for (int c = 0; c < c8; c += kTile) {
-      const float* s = src + r * src_stride + c;
-      float* d = dst + c * dst_stride + r;
-      transpose_4x4(s, src_stride, d, dst_stride);
-      transpose_4x4(s + 4, src_stride, d + 4 * dst_stride, dst_stride);
-      transpose_4x4(s + 4 * src_stride, src_stride, d + 4, dst_stride);
-      transpose_4x4(s + 4 * src_stride + 4, src_stride, d + 4 * dst_stride + 4,
-                    dst_stride);
-    }
-    // right edge of this tile row
-    if (c8 < cols) {
-      transpose_tail(src + r * src_stride + c8, kTile, cols - c8, src_stride,
-                     dst + c8 * dst_stride + r, dst_stride);
-    }
-  }
-  // bottom edge, full width
-  if (r8 < rows) {
-    transpose_tail(src + r8 * src_stride, rows - r8, cols, src_stride,
-                   dst + r8, dst_stride);
-  }
+  static const decltype(&transpose_f32) best =
+      last_runnable(transpose_variants).transpose;
+  best(src, rows, cols, src_stride, dst, dst_stride);
 }
 
 }  // namespace vf::simd

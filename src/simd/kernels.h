@@ -90,12 +90,13 @@ void average_autovec(const float* a, const float* b, int n, float* out);
 // per line, scratch sizing amortized across the batch, and a contiguous walk
 // over a block of lines the caller laid out back-to-back. The tiled
 // transforms (dwt_fusion.cpp) run both passes through them — the cache-
-// blocked transpose lays the columns out as rows — and the fused plan its
-// row passes. The fixed-point sets (hw::fixed_point_kernels) keep the same
-// per-line contract with their quantizing datapath. kMaxLinesPerCall bounds
-// the batch so a block of extended lines stays inside L1; it is also the
-// lane width of the lane-interleaved fused kernels below (one AVX2 register,
-// two SSE2/NEON registers).
+// blocked transpose lays the columns out as rows. The fused plan does not
+// call them: all its passes, row and column, run the lane-interleaved
+// kernels below. The fixed-point sets (hw::fixed_point_kernels) keep the
+// same per-line contract with their quantizing datapath. kMaxLinesPerCall
+// bounds the batch so a block of extended lines stays inside L1; it is also
+// the lane width of the lane-interleaved fused kernels below (one AVX2
+// register, two SSE2/NEON registers).
 inline constexpr int kMaxLinesPerCall = 8;
 
 void dual_corr_decimate2_ml_scalar(const float* x, int x_stride, int nlines,
@@ -147,7 +148,11 @@ void select_by_magnitude_ml_autovec(const float* a_re, const float* a_im,
 // column pass + magnitude, and the select rule + inverse synthesis, into one
 // walk over each block of image columns. Both kernels are LANE-INTERLEAVED:
 // they filter up to kMaxLinesPerCall image columns at once, straight out of
-// the row-major planes, with no transpose.
+// the row-major planes, with no transpose. The plan's row passes run them
+// too, over slabs of kMaxLinesPerCall image rows that transpose_f32 lays
+// out in the same layout: analyze_mag_ml with null magnitudes filters both
+// trees' rows in one call (x_re and x_im may point into one slab), and
+// select_synth_ml with null *_b synthesizes rows.
 //
 //   layout:  sample j of line (lane) l sits at x[j * stride + l], for every
 //            input and output plane; exactly the nlines <= kMaxLinesPerCall
@@ -241,11 +246,23 @@ const LaneKernelVariant* lane_kernel_variants(int* count);
 // --- cache-blocked transpose -------------------------------------------------
 //
 // dst (cols x rows, row stride dst_stride) = transpose of src (rows x cols,
-// row stride src_stride). 8x8 cache tiles with a 4x4 SIMD micro-kernel where
-// the target has one; exact data movement, so there is nothing flavour-
-// dependent to dispatch. This is what turns the DT-CWT column passes into
-// contiguous row filtering (dwt_fusion.cpp).
+// row stride src_stride). 8x8 cache tiles with a register micro-kernel:
+// four 4x4 quads on SSE2/NEON and, on x86 hosts that support it, one 8x8
+// AVX2 transpose (target("avx2"), picked at first use like the lane
+// kernels). Exact data movement, so every instance gives the same bits.
+// This is what turns the DT-CWT column passes into contiguous row filtering
+// (dwt_fusion.cpp), and what lays 8 image rows out as the lane slabs of the
+// fused plan's row passes (fused_plan.cpp).
 void transpose_f32(const float* src, int rows, int cols, int src_stride,
                    float* dst, int dst_stride);
+
+// Every compiled transpose instance, in the order and with the meaning of
+// lane_kernel_variants(); transpose_f32 runs the last runnable one.
+struct TransposeVariant {
+  const char* isa;
+  bool runnable;
+  decltype(&transpose_f32) transpose;
+};
+const TransposeVariant* transpose_variants(int* count);
 
 }  // namespace vf::simd

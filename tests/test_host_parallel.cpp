@@ -233,13 +233,15 @@ bool same_bits(const image::ImageF& a, const image::ImageF& b) {
 // for every pool width and exact kernel set. The plan filters columns in
 // blocks of 8 lanes: the widths below leave every partial block of 1..7
 // lanes at some level (2x2 .. 46x38, with odd deep-level dims), and 640x50
-// splits its level-0 column pass into several row strips. autovec may differ
-// from scalar by 1 ulp per kernel call, so it is held to a tolerance.
+// splits its level-0 column pass into several row strips. The row passes run
+// in slabs of 8 rows: 88x10 leaves tails of 2, 6 and 4 rows at levels 0-2,
+// and 24x200 many full slabs plus tails of 4 and 2. autovec may differ from
+// scalar by 1 ulp per kernel call, so it is held to a tolerance.
 TEST(OracleIdentity, FuseFramesMatchesOracleAtEveryShape) {
-  const sched::FrameSize sizes[] = {{9, 7},   {33, 25}, {1, 16},  {16, 1},
-                                    {88, 71}, {88, 72}, {2, 2},   {3, 5},
-                                    {18, 14}, {30, 22}, {46, 38}, {32, 24},
-                                    {640, 50}};
+  const sched::FrameSize sizes[] = {{9, 7},   {33, 25}, {1, 16},   {16, 1},
+                                    {88, 71}, {88, 72}, {2, 2},    {3, 5},
+                                    {18, 14}, {30, 22}, {46, 38},  {32, 24},
+                                    {640, 50}, {88, 10}, {24, 200}};
   for (const sched::FrameSize& size : sizes) {
     const auto frames = sched::make_sweep_frames(size, 1);
     const image::ImageF& a = frames[0].visible;

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -378,8 +379,7 @@ std::vector<float> lane_plane(int rows, int stride, int nlines, std::uint64_t se
   return randv((rows - 1) * stride + nlines, seed);
 }
 
-std::vector<float> gather_lane(const std::vector<float>& plane, int rows,
-                               int stride, int l) {
+std::vector<float> gather_lane(const float* plane, int rows, int stride, int l) {
   std::vector<float> line(static_cast<std::size_t>(rows));
   for (int j = 0; j < rows; ++j) {
     line[static_cast<std::size_t>(j)] = plane[static_cast<std::size_t>(j) * stride + l];
@@ -425,14 +425,24 @@ std::vector<FusedFlavour> fixed_flavour() {
 }
 
 // One analyze_mag_ml case against the oracle, in every flavour, with and
-// without the magnitude outputs.
+// without the magnitude outputs. With re_row/im_row >= 0, x_re and x_im
+// alias one plane and start at those rows of it, the way the fused plan's
+// row passes read both trees out of one slab.
 void check_analyze_mag(int nlines, int out_len, int taps, int x_stride,
                        int out_stride,
                        const simd::KernelSet& oracle = simd::scalar_kernels(),
-                       const std::vector<FusedFlavour>& flavours = fused_flavours()) {
+                       const std::vector<FusedFlavour>& flavours = fused_flavours(),
+                       int re_row = -1, int im_row = -1) {
   const int rows = 2 * out_len + taps;
-  const auto x_re = lane_plane(rows, x_stride, nlines, 40 + taps);
-  const auto x_im = lane_plane(rows, x_stride, nlines, 41 + taps);
+  const bool alias = re_row >= 0;
+  const auto plane_re =
+      lane_plane(rows + (alias ? std::max(re_row, im_row) : 0), x_stride, nlines,
+                 40 + taps);
+  const auto plane_im =
+      alias ? std::vector<float>() : lane_plane(rows, x_stride, nlines, 41 + taps);
+  const float* x_re = plane_re.data() + (alias ? re_row * x_stride : 0);
+  const float* x_im =
+      alias ? plane_re.data() + im_row * x_stride : plane_im.data();
   const auto lp_re = randv(taps, 42), hp_re = randv(taps, 43);
   const auto lp_im = randv(taps, 44), hp_im = randv(taps, 45);
   // ref[q][l]: q = lo_re, hi_re, lo_im, hi_im, mag_lo, mag_hi.
@@ -454,7 +464,7 @@ void check_analyze_mag(int nlines, int out_len, int taps, int x_stride,
     for (const bool with_mag : {true, false}) {
       std::vector<float> out[6];
       for (auto& o : out) o.assign(out_total, kSentinel);
-      fl.analyze_mag(x_re.data(), x_im.data(), x_stride, nlines, out_len,
+      fl.analyze_mag(x_re, x_im, x_stride, nlines, out_len,
                      lp_re.data(), hp_re.data(), lp_im.data(), hp_im.data(), taps,
                      out[0].data(), out[1].data(), out[2].data(), out[3].data(),
                      with_mag ? out[4].data() : nullptr,
@@ -463,7 +473,8 @@ void check_analyze_mag(int nlines, int out_len, int taps, int x_stride,
         expect_lanes(ref[q], out_len, out_stride, out[q], fl.exact,
                      "analyze_mag_ml " + fl.name + " " + names[q] + " nlines " +
                          std::to_string(nlines) + " out_len " +
-                         std::to_string(out_len) + " taps " + std::to_string(taps));
+                         std::to_string(out_len) + " taps " + std::to_string(taps) +
+                         (alias ? " aliased" : ""));
       }
       if (!with_mag) {
         for (int q = 4; q < 6; ++q) {
@@ -487,7 +498,7 @@ void check_select_synth(int nlines, int pairs, int taps, int synth_offset,
   std::vector<std::vector<float>> ref(nlines, std::vector<float>(n));
   for (int l = 0; l < nlines; ++l) {
     std::vector<float> g[8];
-    for (int i = 0; i < 8; ++i) g[i] = gather_lane(in[i], pairs, in_stride, l);
+    for (int i = 0; i < 8; ++i) g[i] = gather_lane(in[i].data(), pairs, in_stride, l);
     std::vector<float> lo = g[0], hi = g[4];
     if (fuse_select) {
       simd::select_half_scalar(g[0].data(), g[1].data(), g[2].data(), g[3].data(),
@@ -535,16 +546,32 @@ TEST_P(MultiLineEquivalence, SelectSynthMl) {
 }
 
 // Every lane count against every short line length the fused plan produces
-// (column heights of 2..80 rows), at the packed stride the plan's scratch
-// uses and at a wider plane stride.
+// (column heights of 2..80 rows) and the row-pass lengths of 88- and
+// 640-wide frames, at the packed stride of the plan's slabs and at a wider
+// plane stride.
+std::vector<int> lane_sweep_lengths() {
+  std::vector<int> lens;
+  for (int n = 1; n <= 40; ++n) lens.push_back(n);
+  for (int n : {44, 160, 320}) lens.push_back(n);
+  return lens;
+}
+
 TEST(LaneKernels, AnalyzeMagMlSweep) {
+  constexpr int kSlab = simd::kMaxLinesPerCall;
   for (int nlines = 1; nlines <= simd::kMaxLinesPerCall; ++nlines) {
-    for (int out_len = 1; out_len <= 40; ++out_len) {
+    for (int out_len : lane_sweep_lengths()) {
       for (int taps : {5, 14}) {
-        check_analyze_mag(nlines, out_len, taps, simd::kMaxLinesPerCall,
-                          simd::kMaxLinesPerCall);
+        check_analyze_mag(nlines, out_len, taps, kSlab, kSlab);
         check_analyze_mag(nlines, out_len, taps, 19, 12);
         check_analyze_mag(nlines, out_len, taps, 19, 12, fixed_set(), fixed_flavour());
+        // Both trees out of one slab, either one starting further in.
+        for (const auto& [re_row, im_row] : {std::pair{1, 0}, std::pair{0, 3}}) {
+          check_analyze_mag(nlines, out_len, taps, kSlab, kSlab,
+                            simd::scalar_kernels(), fused_flavours(), re_row,
+                            im_row);
+          check_analyze_mag(nlines, out_len, taps, kSlab, kSlab, fixed_set(),
+                            fixed_flavour(), re_row, im_row);
+        }
       }
     }
   }
@@ -552,7 +579,7 @@ TEST(LaneKernels, AnalyzeMagMlSweep) {
 
 TEST(LaneKernels, SelectSynthMlSweep) {
   for (int nlines = 1; nlines <= simd::kMaxLinesPerCall; ++nlines) {
-    for (int pairs = 1; pairs <= 40; ++pairs) {
+    for (int pairs : lane_sweep_lengths()) {
       for (int taps : {7, 16}) {
         // Offsets beyond one period wrap more than once on short lines.
         check_select_synth(nlines, pairs, taps, 3 + pairs % 5, true, 19, 12);
@@ -597,32 +624,70 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MultiLineEquivalence,
 // --- blocked transpose -------------------------------------------------------
 //
 // transpose_f32 copies bits, so every shape — including ones that are all
-// tail (1xN, Nx1) or straddle the 8x8 tile edge — must match the naive
-// element-by-element transpose exactly.
+// tail (1xN, Nx1), straddle the 8x8 tile edge, or are one slab of the fused
+// plan's row passes (8xN in, Nx8 out) — must match the naive
+// element-by-element transpose exactly, in every compiled instance.
+std::vector<std::pair<std::string, decltype(&simd::transpose_f32)>>
+transpose_instances() {
+  std::vector<std::pair<std::string, decltype(&simd::transpose_f32)>> out = {
+      {"transpose_f32", simd::transpose_f32}};
+  int n = 0;
+  const simd::TransposeVariant* v = simd::transpose_variants(&n);
+  for (int i = 0; i < n; ++i) {
+    if (v[i].runnable) out.push_back({v[i].isa, v[i].transpose});
+  }
+  return out;
+}
+
 TEST(TransposeF32, MatchesNaiveAtAwkwardShapes) {
   struct Shape { int rows, cols; };
-  for (Shape s : {Shape{1, 1}, Shape{1, 17}, Shape{17, 1}, Shape{7, 9},
-                  Shape{8, 8}, Shape{9, 7}, Shape{16, 16}, Shape{33, 25},
-                  Shape{25, 33}, Shape{88, 72}}) {
-    const int src_stride = s.cols + 3;  // strides larger than the row length
-    const int dst_stride = s.rows + 2;
-    const auto src = randv(s.rows * src_stride, 100 + s.rows);
-    std::vector<float> dst(static_cast<std::size_t>(s.cols) * dst_stride, -7.0f);
-    simd::transpose_f32(src.data(), s.rows, s.cols, src_stride, dst.data(),
-                        dst_stride);
-    for (int r = 0; r < s.rows; ++r) {
+  std::vector<Shape> shapes = {Shape{1, 1},   Shape{1, 17},  Shape{17, 1},
+                               Shape{7, 9},   Shape{8, 8},   Shape{9, 7},
+                               Shape{16, 16}, Shape{33, 25}, Shape{25, 33},
+                               Shape{88, 72}};
+  for (int n = 1; n <= 41; ++n) {
+    shapes.push_back({8, n});
+    shapes.push_back({n, 8});
+  }
+  for (int n : {320, 640}) {
+    shapes.push_back({8, n});
+    shapes.push_back({n, 8});
+  }
+  for (const auto& [isa, transpose] : transpose_instances()) {
+    for (Shape s : shapes) {
+      const int src_stride = s.cols + 3;  // strides larger than the row length
+      const int dst_stride = s.rows + 2;
+      const auto src = randv(s.rows * src_stride, 100 + s.rows);
+      std::vector<float> dst(static_cast<std::size_t>(s.cols) * dst_stride, -7.0f);
+      transpose(src.data(), s.rows, s.cols, src_stride, dst.data(), dst_stride);
+      for (int r = 0; r < s.rows; ++r) {
+        for (int c = 0; c < s.cols; ++c) {
+          ASSERT_EQ(float_bits(src[r * src_stride + c]),
+                    float_bits(dst[c * dst_stride + r]))
+              << isa << " " << s.rows << "x" << s.cols << " r=" << r << " c=" << c;
+        }
+      }
+      // Padding between destination rows must be untouched.
       for (int c = 0; c < s.cols; ++c) {
-        ASSERT_EQ(float_bits(src[r * src_stride + c]),
-                  float_bits(dst[c * dst_stride + r]))
-            << s.rows << "x" << s.cols << " r=" << r << " c=" << c;
+        for (int p = s.rows; p < dst_stride; ++p) {
+          ASSERT_EQ(dst[c * dst_stride + p], -7.0f) << isa;
+        }
       }
     }
-    // Padding between destination rows must be untouched.
-    for (int c = 0; c < s.cols; ++c) {
-      for (int p = s.rows; p < dst_stride; ++p) {
-        ASSERT_EQ(dst[c * dst_stride + p], -7.0f);
-      }
-    }
+  }
+}
+
+// Every transpose instance the build compiled is listed, like the lane
+// kernels', with the AVX2 one runnable exactly when the CPU has AVX2.
+TEST(TransposeF32, EveryCompiledInstanceIsListed) {
+  int n = 0;
+  const simd::TransposeVariant* v = simd::transpose_variants(&n);
+  int lanes = 0;
+  const simd::LaneKernelVariant* lv = simd::lane_kernel_variants(&lanes);
+  ASSERT_EQ(n, lanes);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_STREQ(v[i].isa, lv[i].isa);
+    EXPECT_EQ(v[i].runnable, lv[i].runnable);
   }
 }
 
