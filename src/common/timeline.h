@@ -13,9 +13,13 @@
 // is deterministic — same schedule calls, same events, on any host
 // (tests/test_timeline.cpp locks this across runs).
 //
+// The timeline keeps only what its readers use: per resource the free time,
+// the busy total and a list of coalesced busy spans (what the energy
+// integral reads). Full events go only to an optional caller-owned log
+// (set_event_log); without one the timeline stores no per-event record.
 // Events are flat and trivially copyable: a label is a `const char*` that
-// must outlive the timeline (string literals at every call site), so the
-// line-granular replays append events without building a string for each.
+// must outlive the timeline and its log (string literals at every call
+// site), so logging builds no string either.
 #pragma once
 
 #include <string>
@@ -47,10 +51,18 @@ class Timeline {
   // Schedules a task on `r` that may not start before `ready`; it starts at
   // max(ready, the resource's free time) and occupies the resource for
   // `duration`. Returns the placed event (with resolved start/end). An
-  // unknown resource or a negative (or NaN) duration aborts, in every build
-  // type, so each resource's events stay start-ordered and disjoint.
+  // unknown resource, a non-finite `ready`, or a negative or non-finite
+  // duration aborts, in every build type, so each resource's events stay
+  // start-ordered and disjoint. A non-empty event that starts where the
+  // resource's last busy span ends extends that span; any other non-empty
+  // event opens a new one. Zero-length events occupy no time.
   Event schedule(ResourceId r, const char* label, SimDuration ready,
                  SimDuration duration);
+
+  // Appends every event scheduled from now on to `*log` (caller-owned; the
+  // timeline never clears it). nullptr, the default, stops logging. For
+  // tests and trace export; no result of the timeline reads the log.
+  void set_event_log(std::vector<Event>* log) { log_ = log; }
 
   // Earliest time a new event could start on `r` (ignoring ready deps).
   SimDuration free_at(ResourceId r) const { return resources_[r].free_at; }
@@ -61,27 +73,26 @@ class Timeline {
   // End of the latest event across all resources (0 when empty).
   SimDuration makespan() const { return makespan_; }
 
-  const std::vector<Event>& events() const { return events_; }
-
   // Merged busy intervals of the given resources, sorted by start time, with
   // overlapping/adjacent intervals coalesced. This is the power-integration
   // view: during any merged interval at least one of the resources is
   // active, so a per-interval draw is charged once, not once per resource.
   // Zero-length events occupy no time. One linear k-way merge of the
-  // per-resource event sequences, which schedule() keeps start-ordered.
+  // per-resource span lists, which schedule() keeps start-ordered. The
+  // union is canonical, so it is the same as merging every event's span.
   std::vector<std::pair<SimDuration, SimDuration>> busy_intervals(
       const std::vector<ResourceId>& resources) const;
 
-  void clear();
-
  private:
+  using Span = std::pair<SimDuration, SimDuration>;
   struct Resource {
     std::string name;
     SimDuration free_at;
     SimDuration busy;
+    std::vector<Span> spans;  // coalesced, start-ordered, disjoint
   };
   std::vector<Resource> resources_;
-  std::vector<Event> events_;
+  std::vector<Event>* log_ = nullptr;
   SimDuration makespan_;
 };
 

@@ -9,6 +9,7 @@
 // methodology's error.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "src/common/sim_time.h"
@@ -91,13 +92,22 @@ class PowerRecorder {
                     const std::vector<ResourceId>& pl_resources,
                     ComputeMode idle = ComputeMode::kArmOnly,
                     ComputeMode active = ComputeMode::kArmFpga) {
+    run_intervals(timeline.busy_intervals(pl_resources), timeline.makespan(),
+                  idle, active);
+  }
+
+  // The same over already merged busy intervals (Timeline::busy_intervals)
+  // of a run that ends at `makespan`, so several recorders can share one
+  // merge.
+  void run_intervals(
+      const std::vector<std::pair<SimDuration, SimDuration>>& busy,
+      SimDuration makespan, ComputeMode idle, ComputeMode active) {
     SimDuration cursor;
-    for (const auto& [start, end] : timeline.busy_intervals(pl_resources)) {
+    for (const auto& [start, end] : busy) {
       if (start > cursor) run_segment(idle, start - cursor);
       run_segment(active, end - start);
       cursor = end;
     }
-    const SimDuration makespan = timeline.makespan();
     if (makespan > cursor) run_segment(idle, makespan - cursor);
   }
 

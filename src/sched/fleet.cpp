@@ -24,14 +24,23 @@ SimDuration max_of(SimDuration a, SimDuration b) { return a > b ? a : b; }
 
 }  // namespace
 
+void check_replay_counts(const char* who, int cores, int engines,
+                         int pipeline_depth) {
+  if (cores < 1 || engines < 1 || pipeline_depth < 1) {
+    std::fprintf(stderr,
+                 "fatal: %s: %d PS core(s), %d PL engine(s), pipeline depth %d "
+                 "(each must be >= 1)\n",
+                 who, cores, engines, pipeline_depth);
+    std::abort();
+  }
+}
+
 FleetSchedule schedule_fleet(const std::vector<FleetStreamInput>& streams,
                              int cores, int engines, int pipeline_depth,
                              bool steal_engines, double spill_wait_frac) {
+  check_replay_counts("schedule_fleet", cores, engines, pipeline_depth);
   FleetSchedule out;
   const int ns = static_cast<int>(streams.size());
-  if (cores < 1) cores = 1;
-  if (engines < 1) engines = 1;
-  if (pipeline_depth < 1) pipeline_depth = 1;
   for (int c = 0; c < cores; ++c) {
     out.cores.push_back(out.timeline.add_resource("PS core " + std::to_string(c)));
   }
@@ -227,12 +236,14 @@ FleetEnergy integrate_fleet_energy(const Timeline& timeline,
                                    const std::vector<ResourceId>& engines,
                                    power::ComputeMode mode) {
   const power::PowerModel pm;
+  const auto busy = timeline.busy_intervals(engines);  // one merge, two integrals
   FleetEnergy energy;
   power::PowerRecorder loaded(pm, SimDuration::milliseconds(1));
-  loaded.run_timeline(timeline, engines, /*idle=*/mode, /*active=*/mode);
+  loaded.run_intervals(busy, timeline.makespan(), /*idle=*/mode, /*active=*/mode);
   energy.loaded_mj = loaded.exact_energy_mj();
   power::PowerRecorder gated(pm, SimDuration::milliseconds(1));
-  gated.run_timeline(timeline, engines, power::ComputeMode::kArmOnly, mode);
+  gated.run_intervals(busy, timeline.makespan(), power::ComputeMode::kArmOnly,
+                      mode);
   energy.gated_mj = gated.exact_energy_mj();
   return energy;
 }
@@ -365,11 +376,10 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
       sin.costs = sc.run.driver_costs;
       sin.sg_chain_len = sc.run.batching.sg_chain_len;
       if (traced) {
-        sin.frame_ops = traced->take_stream_trace();
+        sin.op_lists = traced->take_stream_trace();
       } else {
-        sin.frame_ops.reserve(in.cost.size());
         for (const auto& c : in.cost) {
-          sin.frame_ops.push_back(detail::stage_cost_ops(c));
+          sin.op_lists.append(detail::stage_cost_ops(c));
         }
       }
       if (!in.spill_cost.empty()) {

@@ -159,6 +159,12 @@ struct FleetSchedule {
   std::vector<SimDuration> stream_ps_busy, stream_pl_busy;
 };
 
+// Aborts, in every build, unless the replay has at least one PS core, one
+// PL engine slot and a pipeline depth of at least 1 (`who` names the
+// caller). Clamping would silently model a different machine.
+void check_replay_counts(const char* who, int cores, int engines,
+                         int pipeline_depth);
+
 // Event-driven non-delay list scheduling: among all eligible stage dispatches
 // (stage-chain and pipeline-depth gated, per-stream FIFO), the one with the
 // earliest feasible start commits first; ties break by stage (older frames

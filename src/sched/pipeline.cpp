@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
+#include <cstdlib>
+#include <utility>
 
 #include "src/hw/clock.h"
 #include "src/hw/cost_constants.h"
@@ -92,8 +95,8 @@ void BatchedFpgaBackend::finish_frame() {
   sync(phase());
   if (tracing_) {
     drain_trace(phase());
-    trace_frames_.push_back(std::move(cur_ops_));
-    cur_ops_.clear();
+    trace_frames_.append(cur_ops_);
+    cur_ops_.clear();  // keeps its capacity for the next frame
     batch_trace_.clear();
     batch_drained_ = 0;
   }
@@ -104,14 +107,14 @@ void BatchedFpgaBackend::enable_stream_trace() {
   batch_trace_.clear();
   batch_drained_ = 0;
   cur_ops_.clear();
-  trace_frames_.clear();
+  trace_frames_ = {};
   accel_.set_trace(&batch_trace_);
 }
 
-std::vector<std::vector<detail::StreamOp>> BatchedFpgaBackend::take_stream_trace() {
+detail::FrameOpLists BatchedFpgaBackend::take_stream_trace() {
   tracing_ = false;
   accel_.set_trace(nullptr);
-  return std::move(trace_frames_);
+  return std::exchange(trace_frames_, {});
 }
 
 void BatchedFpgaBackend::drain_trace(Phase stage) {
@@ -173,6 +176,13 @@ SimDuration clamp_nonneg(SimDuration d) {
 PipelineRunResult run_pipelined(TransformBackend& backend,
                                 const std::vector<FramePair>& frames,
                                 const PipelineOptions& options) {
+  if (options.overlap && options.depth < 1) {
+    std::fprintf(stderr,
+                 "fatal: run_pipelined: pipeline depth %d with overlap on "
+                 "(must be >= 1)\n",
+                 options.depth);
+    std::abort();
+  }
   PipelineRunResult result;
   result.frames = static_cast<int>(frames.size());
 
@@ -227,12 +237,12 @@ PipelineRunResult run_pipelined(TransformBackend& backend,
     std::vector<detail::StreamingStreamInput> inputs(1);
     detail::StreamingStreamInput& in = inputs[0];
     in.arrivals.assign(frames.size(), SimDuration::zero());
-    in.frame_ops = streaming_backend->take_stream_trace();
+    in.op_lists = streaming_backend->take_stream_trace();
     in.engine = streaming_backend->accelerator().engine();
     in.costs = streaming_backend->accelerator().costs();
     in.sg_chain_len = streaming_backend->accelerator().batching().sg_chain_len;
     const detail::FleetSchedule sched = detail::schedule_streaming(
-        inputs, /*cores=*/1, /*engines=*/1, options.depth < 1 ? 1 : options.depth,
+        inputs, /*cores=*/1, /*engines=*/1, options.depth,
         /*steal_engines=*/true, /*spill_wait_frac=*/0.0);
     result.makespan = sched.timeline.makespan();
     result.ps_busy = sched.timeline.busy_time(sched.cores[0]);
@@ -257,8 +267,7 @@ PipelineRunResult run_pipelined(TransformBackend& backend,
                           {c[3].ps, c[3].pl}}});
     }
     const detail::FleetSchedule sched = detail::schedule_fleet(
-        {in}, /*cores=*/1, /*engines=*/1,
-        options.depth < 1 ? 1 : options.depth,
+        {in}, /*cores=*/1, /*engines=*/1, options.depth,
         /*steal_engines=*/true, /*spill_wait_frac=*/0.0);
     result.makespan = sched.timeline.makespan();
     result.ps_busy = sched.timeline.busy_time(sched.cores[0]);

@@ -63,10 +63,11 @@ class BatchedFpgaBackend : public TransformBackend {
   // Cross-frame streaming trace (ISSUE 9): record every frame's op stream
   // (PS slices, accelerator batches, stage boundaries) during the serial
   // measurement pass. Recording is pure observation — the serial schedule,
-  // ledgers, and numerics are unchanged. take_stream_trace() returns one op
-  // list per completed frame and stops recording.
+  // ledgers, and numerics are unchanged. take_stream_trace() returns the op
+  // lists of the completed frames (a list repeated by consecutive frames is
+  // stored once) and stops recording.
   void enable_stream_trace();
-  std::vector<std::vector<detail::StreamOp>> take_stream_trace();
+  detail::FrameOpLists take_stream_trace();
 
  protected:
   void on_phase_exit(Phase old_phase) override;
@@ -95,8 +96,8 @@ class BatchedFpgaBackend : public TransformBackend {
   bool tracing_ = false;
   std::vector<driver::PipelinedWaveletAccelerator::BatchTrace> batch_trace_;
   std::size_t batch_drained_ = 0;
-  std::vector<detail::StreamOp> cur_ops_;
-  std::vector<std::vector<detail::StreamOp>> trace_frames_;
+  std::vector<detail::StreamOp> cur_ops_;  // the frame being recorded
+  detail::FrameOpLists trace_frames_;
 };
 
 // --- frame-level pipelining -------------------------------------------------
@@ -106,7 +107,8 @@ struct PipelineOptions {
   // the additive ledger total (up to float summation order).
   bool overlap = true;
   // Frames in flight at once on the overlapped schedule (the 4-stage
-  // software-pipeline window).
+  // software-pipeline window). With overlap on, run_pipelined aborts on a
+  // depth below 1.
   int depth = 4;
   // Cross-frame line streaming (ISSUE 9): with overlap on and a
   // BatchedFpgaBackend, replay the captured batch stream at line granularity

@@ -36,6 +36,11 @@ void append_sliced_ps(std::vector<StreamOp>* ops, int stage, SimDuration d) {
   }
 }
 
+void FrameOpLists::append(const std::vector<StreamOp>& ops) {
+  if (lists.empty() || lists.back() != ops) lists.push_back(ops);
+  frame_list.push_back(static_cast<int>(lists.size()) - 1);
+}
+
 std::vector<StreamOp> stage_cost_ops(const std::array<FleetStageCost, 4>& cost) {
   std::vector<StreamOp> ops;
   for (int g = 0; g < 4; ++g) {
@@ -59,21 +64,29 @@ std::vector<StreamOp> stage_cost_ops(const std::array<FleetStageCost, 4>& cost) 
 
 FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& streams,
                                  int cores, int engines, int pipeline_depth,
-                                 bool steal_engines, double spill_wait_frac) {
+                                 bool steal_engines, double spill_wait_frac,
+                                 std::vector<Timeline::Event>* event_log) {
+  check_replay_counts("schedule_streaming", cores, engines, pipeline_depth);
   FleetSchedule out;
+  out.timeline.set_event_log(event_log);
   const int ns = static_cast<int>(streams.size());
   for (int s = 0; s < ns; ++s) {
-    if (streams[static_cast<std::size_t>(s)].sg_chain_len < 1) {
+    const StreamingStreamInput& in = streams[static_cast<std::size_t>(s)];
+    if (in.sg_chain_len < 1) {
       std::fprintf(stderr,
                    "fatal: schedule_streaming: stream %d has sg_chain_len %d "
                    "(must be >= 1)\n",
-                   s, streams[static_cast<std::size_t>(s)].sg_chain_len);
+                   s, in.sg_chain_len);
+      std::abort();
+    }
+    if (static_cast<std::size_t>(in.op_lists.frames()) != in.arrivals.size()) {
+      std::fprintf(stderr,
+                   "fatal: schedule_streaming: stream %d has op lists for %d "
+                   "frames but %zu arrivals\n",
+                   s, in.op_lists.frames(), in.arrivals.size());
       std::abort();
     }
   }
-  if (cores < 1) cores = 1;
-  if (engines < 1) engines = 1;
-  if (pipeline_depth < 1) pipeline_depth = 1;
   for (int c = 0; c < cores; ++c) {
     out.cores.push_back(out.timeline.add_resource("PS core " + std::to_string(c)));
   }
@@ -133,9 +146,8 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
     const StreamingStreamInput& in = stream_at(s);
     const FrameState& fs =
         state[static_cast<std::size_t>(s)].fs[static_cast<std::size_t>(f)];
-    return fs.use_spill && !in.spill_ops.empty()
-               ? in.spill_ops
-               : in.frame_ops[static_cast<std::size_t>(f)];
+    return fs.use_spill && !in.spill_ops.empty() ? in.spill_ops
+                                                  : in.op_lists[f];
   };
   // Every op of frame (s, f) has committed (or it had none).
   auto done = [&](int s, int f) {

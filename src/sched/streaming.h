@@ -53,6 +53,31 @@ struct StreamOp {
   int words_out = 0;           // kBatch
   double compute_cycles = 0.0; // kBatch, PL cycles
   bool after_barrier = false;  // kBatch: input depends on earlier outputs
+
+  // Field for field: equal ops replay identically.
+  bool operator==(const StreamOp& o) const {
+    return kind == o.kind && stage == o.stage && ps == o.ps &&
+           words_in == o.words_in && words_out == o.words_out &&
+           compute_cycles == o.compute_cycles && after_barrier == o.after_barrier;
+  }
+};
+
+// The op lists of one stream's frames, each distinct list stored once:
+// frame f replays lists[frame_list[f]]. Modeled costs depend on the frame
+// shape only, so a captured stream of equal-size frames stores two lists
+// (frame 0 and the steady state) instead of one per frame.
+struct FrameOpLists {
+  std::vector<std::vector<StreamOp>> lists;
+  std::vector<int> frame_list;  // per frame: index into `lists`
+
+  // Adds the next frame. `ops` is stored only when it differs field for
+  // field from the last stored list; otherwise the frame reuses that list.
+  void append(const std::vector<StreamOp>& ops);
+
+  int frames() const { return static_cast<int>(frame_list.size()); }
+  const std::vector<StreamOp>& operator[](int f) const {
+    return lists[static_cast<std::size_t>(frame_list[static_cast<std::size_t>(f)])];
+  }
 };
 
 // Appends `d` of PS work as one or more kPs slices of at most
@@ -63,13 +88,13 @@ void append_sliced_ps(std::vector<StreamOp>* ops, int stage, SimDuration d);
 // not run the batched accelerator: CPU backends, serial FPGA, NEON spill).
 std::vector<StreamOp> stage_cost_ops(const std::array<FleetStageCost, 4>& cost);
 
-// One stream's input to the streaming replay. frame_ops[f] is frame f's
-// captured op list; spill_ops (when non-empty) is the all-PS NEON
-// alternative the admission layer may switch any frame to. NEON costs are
-// shape-only, so one list serves every frame of the stream.
+// One stream's input to the streaming replay. op_lists[f] is frame f's
+// captured op list (one per arrival); spill_ops (when non-empty) is the
+// all-PS NEON alternative the admission layer may switch any frame to. NEON
+// costs are shape-only, so one list serves every frame of the stream.
 struct StreamingStreamInput {
   std::vector<SimDuration> arrivals;
-  std::vector<std::vector<StreamOp>> frame_ops;
+  FrameOpLists op_lists;
   std::vector<StreamOp> spill_ops;
   SimDuration period;   // frame period; zero = batch mode (no spill)
   int queue_depth = 0;  // <= 0 = unbounded
@@ -86,9 +111,13 @@ struct StreamingStreamInput {
 // NEON spill follow schedule_fleet's policies; ping-pong buffers and
 // descriptor chains are per engine slot and persist across frames and
 // streams (a slot switching streams re-arms its chain but keeps its
-// buffer state — no drain).
+// buffer state — no drain). Counts below 1, a non-positive sg_chain_len
+// and an op-list count other than the arrival count abort in every build.
+// A non-null `event_log` is attached to the schedule's timeline
+// (Timeline::set_event_log) and receives every placed event.
 FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& streams,
                                  int cores, int engines, int pipeline_depth,
-                                 bool steal_engines, double spill_wait_frac);
+                                 bool steal_engines, double spill_wait_frac,
+                                 std::vector<Timeline::Event>* event_log = nullptr);
 
 }  // namespace vf::sched::detail

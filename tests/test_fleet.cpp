@@ -237,5 +237,22 @@ TEST(Fleet, ArrivalsAreDeterministicAndMonotonic) {
   EXPECT_EQ(a.streams[0].completed + a.streams[0].dropped, 8);
 }
 
+// Core, engine and depth counts below 1 are refused in every build, not
+// clamped to 1 (run_fleet checks its engine count against the part first).
+TEST(FleetDeathTest, ScheduleFleetRejectsNonPositiveCounts) {
+  using sched::detail::schedule_fleet;
+  const std::vector<sched::detail::FleetStreamInput> none(1);
+  EXPECT_DEATH(schedule_fleet(none, 0, 1, 1, false, 0.0),
+               "schedule_fleet: 0 PS core");
+  EXPECT_DEATH(schedule_fleet(none, 1, 0, 1, false, 0.0),
+               "schedule_fleet: 1 PS core\\(s\\), 0 PL engine");
+  EXPECT_DEATH(schedule_fleet(none, 1, 1, -1, false, 0.0),
+               "schedule_fleet: .*pipeline depth -1");
+  sched::FleetConfig fleet;
+  fleet.cores = 0;
+  EXPECT_DEATH(sched::run_fleet({camera_stream({32, 24}, 2, 30.0)}, fleet),
+               "schedule_fleet: 0 PS core");
+}
+
 }  // namespace
 }  // namespace vf

@@ -11,8 +11,10 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "src/hw/driver.h"
+#include "src/power/recorder.h"
 #include "src/sched/fleet.h"
 #include "src/sched/pipeline.h"
 #include "src/sched/streaming.h"
@@ -318,9 +320,9 @@ std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   return h;
 }
 
-std::uint64_t hash_events(const Timeline& tl) {
+std::uint64_t hash_events(const std::vector<Timeline::Event>& log) {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const Timeline::Event& ev : tl.events()) {
+  for (const Timeline::Event& ev : log) {
     const double start = ev.start.sec();
     const double end = ev.end.sec();
     const std::string_view label(ev.label);
@@ -333,12 +335,43 @@ std::uint64_t hash_events(const Timeline& tl) {
   return h;
 }
 
-// Pins the exact event list of a contended 3-stream replay (pipeline depth
-// 3, bounded queues, NEON spill, one stage-granular stream) that drops and
-// spills frames and completes frames out of order. The hash was computed
-// with a dispatch scan over every started frame; any change to placement,
-// tie order or labels moves it.
-TEST(Streaming, GoldenScheduleOfAContendedThreeStreamReplay) {
+// What the energy integral reads: the merged busy intervals of the PL side
+// (engines, then DMA channels) and of the PS cores, plus the loaded and
+// gated energy, hashed with FNV-1a.
+std::uint64_t hash_busy_and_energy(const sched::detail::FleetSchedule& sched) {
+  std::vector<ResourceId> pl_side = sched.engines;
+  pl_side.insert(pl_side.end(), sched.dmas.begin(), sched.dmas.end());
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::vector<ResourceId>& set : {pl_side, sched.cores}) {
+    const auto merged = sched.timeline.busy_intervals(set);
+    const std::uint64_t n = merged.size();
+    h = fnv1a(h, &n, sizeof n);
+    for (const auto& [start, end] : merged) {
+      const double s = start.sec(), e = end.sec();
+      h = fnv1a(h, &s, sizeof s);
+      h = fnv1a(h, &e, sizeof e);
+    }
+  }
+  const sched::detail::FleetEnergy energy = sched::detail::integrate_fleet_energy(
+      sched.timeline, pl_side, power::ComputeMode::kArmFpga);
+  h = fnv1a(h, &energy.loaded_mj, sizeof energy.loaded_mj);
+  h = fnv1a(h, &energy.gated_mj, sizeof energy.gated_mj);
+  return h;
+}
+
+// Frame f's op lists in the one-list-per-frame form (no deduplication).
+void append_undeduplicated(sched::detail::FrameOpLists* lists,
+                           const std::vector<sched::detail::StreamOp>& ops) {
+  lists->lists.push_back(ops);
+  lists->frame_list.push_back(static_cast<int>(lists->lists.size()) - 1);
+}
+
+// The contended 3-stream replay's input (pipeline depth 3, bounded queues,
+// NEON spill, one stage-granular stream). Frame f replays the golden list
+// of frame f / repeat, so repeat > 1 gives runs of equal consecutive lists;
+// `dedup` picks FrameOpLists::append or the one-list-per-frame form.
+std::vector<sched::detail::StreamingStreamInput> contended_inputs(int repeat,
+                                                                  bool dedup) {
   using sched::detail::StreamingStreamInput;
   constexpr int kFrames = 12;
   std::vector<StreamingStreamInput> streams(3);
@@ -352,14 +385,19 @@ TEST(Streaming, GoldenScheduleOfAContendedThreeStreamReplay) {
     in.sg_chain_len = 4;
     for (int f = 0; f < kFrames; ++f) {
       in.arrivals.push_back(in.period * (f + 0.25 * ((f * 7 + s) % 3)));
-      if (s == 2) {
-        in.frame_ops.push_back(sched::detail::stage_cost_ops(
-            {{{SimDuration::microseconds(30), SimDuration::zero()},
-              {SimDuration::microseconds(10), SimDuration::microseconds(60 + 25 * (f % 4))},
-              {SimDuration::microseconds(45), SimDuration::zero()},
-              {SimDuration::microseconds(10), SimDuration::microseconds(50)}}}));
+      const int g = f / repeat;
+      const std::vector<sched::detail::StreamOp> ops =
+          s == 2 ? sched::detail::stage_cost_ops(
+                       {{{SimDuration::microseconds(30), SimDuration::zero()},
+                         {SimDuration::microseconds(10),
+                          SimDuration::microseconds(60 + 25 * (g % 4))},
+                         {SimDuration::microseconds(45), SimDuration::zero()},
+                         {SimDuration::microseconds(10), SimDuration::microseconds(50)}}})
+                 : golden_frame_ops(s, g);
+      if (dedup) {
+        in.op_lists.append(ops);
       } else {
-        in.frame_ops.push_back(golden_frame_ops(s, f));
+        append_undeduplicated(&in.op_lists, ops);
       }
     }
     if (s < 2) {
@@ -370,9 +408,26 @@ TEST(Streaming, GoldenScheduleOfAContendedThreeStreamReplay) {
             {SimDuration::microseconds(70), SimDuration::zero()}}});
     }
   }
-  const sched::detail::FleetSchedule sched = sched::detail::schedule_streaming(
+  return streams;
+}
+
+sched::detail::FleetSchedule contended_replay(
+    const std::vector<sched::detail::StreamingStreamInput>& streams,
+    std::vector<Timeline::Event>* log) {
+  return sched::detail::schedule_streaming(
       streams, /*cores=*/2, /*engines=*/2, /*pipeline_depth=*/3,
-      /*steal_engines=*/true, /*spill_wait_frac=*/0.5);
+      /*steal_engines=*/true, /*spill_wait_frac=*/0.5, log);
+}
+
+// Pins the exact event list of the contended 3-stream replay, which drops
+// and spills frames and completes frames out of order. The hash was
+// computed with a dispatch scan over every started frame, and the timeline
+// then stored every event itself; it now reads the attached event log. Any
+// change to placement, tie order or labels moves it.
+TEST(Streaming, GoldenScheduleOfAContendedThreeStreamReplay) {
+  std::vector<Timeline::Event> log;
+  const sched::detail::FleetSchedule sched =
+      contended_replay(contended_inputs(/*repeat=*/1, /*dedup=*/false), &log);
 
   // The run exercises what the hash is meant to pin.
   int dropped = 0, spilled = 0, out_of_order = 0;
@@ -390,8 +445,85 @@ TEST(Streaming, GoldenScheduleOfAContendedThreeStreamReplay) {
   EXPECT_EQ(spilled, 9);
   EXPECT_EQ(out_of_order, 9);
 
-  EXPECT_EQ(sched.timeline.events().size(), 377u);
-  EXPECT_EQ(hash_events(sched.timeline), 0x860b1ad685517decull);
+  EXPECT_EQ(log.size(), 377u);
+  EXPECT_EQ(hash_events(log), 0x860b1ad685517decull);
+}
+
+// Pinned before the timeline kept coalesced spans instead of events: the
+// merged busy intervals and the energy of the same replay, with no log
+// attached.
+TEST(Streaming, GoldenBusyIntervalsAndEnergyOfTheContendedReplay) {
+  const sched::detail::FleetSchedule sched =
+      contended_replay(contended_inputs(/*repeat=*/1, /*dedup=*/true), nullptr);
+  EXPECT_EQ(hash_busy_and_energy(sched), 0x46c9d36b2ecf64e7ull);
+  const sched::detail::FleetEnergy energy = sched::detail::integrate_fleet_energy(
+      sched.timeline, {sched.engines[0], sched.engines[1], sched.dmas[0], sched.dmas[1]},
+      power::ComputeMode::kArmFpga);
+  EXPECT_EQ(energy.loaded_mj, 0x1.0b2f28013e07ep+1);
+  EXPECT_EQ(energy.gated_mj, 0x1.0ae19da7f96d1p+1);
+}
+
+// The same pin for a real capture: 16 frames of 88x72 FPGA+batch replayed
+// the way run_pipelined's streaming branch does, and run_pipelined itself.
+TEST(Streaming, GoldenBusyIntervalsAndEnergyOfA16FrameStreamingRun) {
+  const sched::RunConfig run = streaming_config({88, 72}, 16, 8);
+  const auto frames = sched::make_sweep_frames(run.frame_size, run.frames);
+  sched::BatchedFpgaBackend backend(run);
+  backend.enable_stream_trace();
+  sched::TimedFusionRunner runner(backend, run.fuse);
+  for (const sched::FramePair& p : frames) runner.run_frame_pair(p.visible, p.thermal);
+  std::vector<sched::detail::StreamingStreamInput> inputs(1);
+  inputs[0].arrivals.assign(frames.size(), SimDuration::zero());
+  inputs[0].op_lists = backend.take_stream_trace();
+  inputs[0].engine = backend.accelerator().engine();
+  inputs[0].costs = backend.accelerator().costs();
+  inputs[0].sg_chain_len = backend.accelerator().batching().sg_chain_len;
+  const sched::detail::FleetSchedule sched = sched::detail::schedule_streaming(
+      inputs, /*cores=*/1, /*engines=*/1, run.pipeline_depth,
+      /*steal_engines=*/true, /*spill_wait_frac=*/0.0);
+  EXPECT_EQ(hash_busy_and_energy(sched), 0x8c80dc779829ddd9ull);
+
+  const sched::PipelineRunResult piped = run_piped(run);
+  EXPECT_EQ(piped.energy_mj, 0x1.f8e67dc9159acp+6);
+  EXPECT_EQ(piped.energy_gated_mj, 0x1.edbef53b7819p+6);
+  EXPECT_EQ(piped.makespan.sec(), 0x1.d3e3ba4c87da9p-3);
+}
+
+// --- op lists per distinct frame ----------------------------------------------
+
+TEST(Streaming, CaptureStoresFrameZeroAndTheSteadyStateList) {
+  const sched::RunConfig run = streaming_config({88, 72}, 6, 8);
+  const auto frames = sched::make_sweep_frames(run.frame_size, run.frames);
+  sched::BatchedFpgaBackend backend(run);
+  backend.enable_stream_trace();
+  sched::TimedFusionRunner runner(backend, run.fuse);
+  for (const sched::FramePair& p : frames) runner.run_frame_pair(p.visible, p.thermal);
+  const sched::detail::FrameOpLists ops = backend.take_stream_trace();
+  // Costs are shape-only: frame 0 differs from the rest (its first batches
+  // follow no earlier barrier), every later frame repeats frame 1's list.
+  ASSERT_EQ(ops.frames(), 6);
+  ASSERT_EQ(ops.lists.size(), 2u);
+  EXPECT_EQ(ops.frame_list, (std::vector<int>{0, 1, 1, 1, 1, 1}));
+  EXPECT_FALSE(ops.lists[0] == ops.lists[1]);
+  EXPECT_EQ(ops.lists[0].size(), ops.lists[1].size());
+}
+
+TEST(Streaming, DeduplicatedOpListsReplayIdentically) {
+  for (const int repeat : {1, 3}) {
+    const auto per_frame = contended_inputs(repeat, /*dedup=*/false);
+    const auto dedup = contended_inputs(repeat, /*dedup=*/true);
+    for (std::size_t s = 0; s < dedup.size(); ++s) {
+      EXPECT_EQ(per_frame[s].op_lists.lists.size(), 12u);
+      // Every stream's golden lists differ from frame to frame.
+      EXPECT_EQ(dedup[s].op_lists.lists.size(), 12u / repeat);
+    }
+    std::vector<Timeline::Event> log_a, log_b;
+    const auto a = contended_replay(per_frame, &log_a);
+    const auto b = contended_replay(dedup, &log_b);
+    EXPECT_EQ(log_a.size(), log_b.size()) << "repeat " << repeat;
+    EXPECT_EQ(hash_events(log_a), hash_events(log_b)) << "repeat " << repeat;
+    EXPECT_EQ(hash_busy_and_energy(a), hash_busy_and_energy(b));
+  }
 }
 
 // A chain of no batches is refused in every build, not clamped to 1: at the
@@ -407,6 +539,26 @@ TEST(StreamingDeathTest, RejectsNonPositiveSgChainLength) {
     EXPECT_DEATH(sched::detail::schedule_streaming(streams, 1, 1, 1, false, 0.5),
                  "schedule_streaming: stream 1 has sg_chain_len");
   }
+}
+
+// Core, engine and depth counts below 1 are refused in every build, not
+// clamped to 1, and so is a stream whose op lists do not cover its arrivals.
+TEST(StreamingDeathTest, RejectsNonPositiveCountsAndMissingOpLists) {
+  using sched::detail::schedule_streaming;
+  const std::vector<sched::detail::StreamingStreamInput> none(1);
+  EXPECT_DEATH(schedule_streaming(none, 0, 1, 1, false, 0.0),
+               "schedule_streaming: 0 PS core\\(s\\), 1 PL engine\\(s\\), "
+               "pipeline depth 1");
+  EXPECT_DEATH(schedule_streaming(none, 1, -2, 1, false, 0.0),
+               "schedule_streaming: 1 PS core\\(s\\), -2 PL engine");
+  EXPECT_DEATH(schedule_streaming(none, 1, 1, 0, false, 0.0),
+               "schedule_streaming: .*pipeline depth 0");
+  std::vector<sched::detail::StreamingStreamInput> short_lists(2);
+  short_lists[1].arrivals.assign(3, SimDuration::zero());
+  short_lists[1].op_lists.append({});
+  EXPECT_DEATH(schedule_streaming(short_lists, 1, 1, 1, false, 0.0),
+               "schedule_streaming: stream 1 has op lists for 1 frames but 3 "
+               "arrivals");
 }
 
 // --- op-list construction -----------------------------------------------------

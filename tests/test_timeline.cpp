@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -20,6 +21,8 @@ using namespace vf;
 
 TEST(Timeline, GreedyEarliestStartScheduling) {
   Timeline tl;
+  std::vector<Timeline::Event> log;
+  tl.set_event_log(&log);
   const ResourceId a = tl.add_resource("A");
   const ResourceId b = tl.add_resource("B");
 
@@ -39,7 +42,7 @@ TEST(Timeline, GreedyEarliestStartScheduling) {
   EXPECT_DOUBLE_EQ(tl.makespan().ms(), 6.0);
   EXPECT_DOUBLE_EQ(tl.busy_time(a).ms(), 3.0);
   EXPECT_DOUBLE_EQ(tl.busy_time(b).ms(), 1.0);
-  EXPECT_EQ(tl.events().size(), 3u);
+  EXPECT_EQ(log.size(), 3u);
 }
 
 TEST(Timeline, BusyIntervalsMergeOverlapAcrossResources) {
@@ -67,8 +70,9 @@ TEST(Timeline, DeterministicAcrossRepeatedConstruction) {
   // The ctest suite runs with -j: identical schedules must produce identical
   // timelines regardless of what else runs concurrently. Everything is pure
   // function of the inputs — no clocks, no globals.
-  auto build = [] {
+  auto build = [](std::vector<Timeline::Event>* log) {
     Timeline tl;
+    tl.set_event_log(log);
     const ResourceId a = tl.add_resource("A");
     const ResourceId b = tl.add_resource("B");
     for (int i = 0; i < 100; ++i) {
@@ -77,12 +81,13 @@ TEST(Timeline, DeterministicAcrossRepeatedConstruction) {
     }
     return tl;
   };
-  const Timeline t1 = build();
-  const Timeline t2 = build();
-  ASSERT_EQ(t1.events().size(), t2.events().size());
-  for (std::size_t i = 0; i < t1.events().size(); ++i) {
-    EXPECT_EQ(t1.events()[i].start.sec(), t2.events()[i].start.sec());
-    EXPECT_EQ(t1.events()[i].end.sec(), t2.events()[i].end.sec());
+  std::vector<Timeline::Event> log1, log2;
+  const Timeline t1 = build(&log1);
+  const Timeline t2 = build(&log2);
+  ASSERT_EQ(log1.size(), log2.size());
+  for (std::size_t i = 0; i < log1.size(); ++i) {
+    EXPECT_EQ(log1[i].start.sec(), log2[i].start.sec());
+    EXPECT_EQ(log1[i].end.sec(), log2[i].end.sec());
   }
   EXPECT_EQ(t1.makespan().sec(), t2.makespan().sec());
 }
@@ -91,12 +96,13 @@ TEST(Timeline, DeterministicAcrossRepeatedConstruction) {
 static_assert(std::is_trivially_copyable_v<Timeline::Event>);
 
 // Reference merge with no ordering assumption: gather every non-empty span
-// of the requested resources, sort by start, coalesce overlapping and
-// touching spans.
+// of the requested resources from the event log, sort by start, coalesce
+// overlapping and touching spans.
 std::vector<std::pair<SimDuration, SimDuration>> sorted_merge_reference(
-    const Timeline& tl, const std::vector<ResourceId>& resources) {
+    const std::vector<Timeline::Event>& log,
+    const std::vector<ResourceId>& resources) {
   std::vector<std::pair<SimDuration, SimDuration>> spans;
-  for (const Timeline::Event& ev : tl.events()) {
+  for (const Timeline::Event& ev : log) {
     if (ev.end == ev.start) continue;
     if (std::find(resources.begin(), resources.end(), ev.resource) !=
         resources.end()) {
@@ -122,6 +128,8 @@ TEST(Timeline, BusyIntervalsMatchSortedMergeOnRandomSchedules) {
   Rng rng(0x7e11e5ull);
   for (int trial = 0; trial < 300; ++trial) {
     Timeline tl;
+    std::vector<Timeline::Event> log;
+    tl.set_event_log(&log);
     const int resources = 1 + rng.next_index(6);
     for (int r = 0; r < resources; ++r) tl.add_resource("R");
     const int events = rng.next_index(80);
@@ -143,11 +151,70 @@ TEST(Timeline, BusyIntervalsMatchSortedMergeOnRandomSchedules) {
     subsets.push_back(all);
     for (const std::vector<ResourceId>& subset : subsets) {
       const auto got = tl.busy_intervals(subset);
-      const auto want = sorted_merge_reference(tl, subset);
+      const auto want = sorted_merge_reference(log, subset);
       ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].first.sec(), want[i].first.sec()) << "trial " << trial;
         EXPECT_EQ(got[i].second.sec(), want[i].second.sec()) << "trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(Timeline, EventLogIsObservationOnly) {
+  // The same schedule calls on a timeline with a log and on one without
+  // give the same placements, merged intervals, busy totals, free times and
+  // makespan. Half the trials use a microsecond grid (touching spans and
+  // equal starts are common, so coalescing runs often), half arbitrary
+  // doubles.
+  Rng rng(0x10661e5ull);
+  for (int trial = 0; trial < 200; ++trial) {
+    const bool grid = trial % 2 == 0;
+    auto time_us = [&](int max) {
+      return grid ? SimDuration::microseconds(rng.next_index(max))
+                  : SimDuration::microseconds(max * rng.next_double());
+    };
+    Timeline logged, plain;
+    std::vector<Timeline::Event> log;
+    logged.set_event_log(&log);
+    const int resources = 1 + rng.next_index(5);
+    std::vector<ResourceId> all;
+    for (int r = 0; r < resources; ++r) {
+      all.push_back(logged.add_resource("R"));
+      plain.add_resource("R");
+    }
+    const int events = rng.next_index(120);
+    for (int i = 0; i < events; ++i) {
+      const ResourceId r = rng.next_index(resources);
+      const SimDuration ready = time_us(80);
+      const SimDuration duration =
+          rng.next_index(4) == 0 ? SimDuration::zero() : time_us(6);
+      const Timeline::Event a = logged.schedule(r, "e", ready, duration);
+      const Timeline::Event b = plain.schedule(r, "e", ready, duration);
+      ASSERT_EQ(a.start, b.start) << "trial " << trial;
+      ASSERT_EQ(a.end, b.end) << "trial " << trial;
+    }
+    ASSERT_EQ(log.size(), static_cast<std::size_t>(events));
+    EXPECT_EQ(logged.makespan(), plain.makespan()) << "trial " << trial;
+    for (const ResourceId r : all) {
+      EXPECT_EQ(logged.busy_time(r), plain.busy_time(r)) << "trial " << trial;
+      EXPECT_EQ(logged.free_at(r), plain.free_at(r)) << "trial " << trial;
+    }
+    for (const std::vector<ResourceId>& subset :
+         {all, std::vector<ResourceId>{all.back()}}) {
+      const auto got = logged.busy_intervals(subset);
+      const auto want = plain.busy_intervals(subset);
+      ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].first, want[i].first) << "trial " << trial;
+        EXPECT_EQ(got[i].second, want[i].second) << "trial " << trial;
+      }
+      // And both equal the sort-based merge of the logged events.
+      const auto ref = sorted_merge_reference(log, subset);
+      ASSERT_EQ(want.size(), ref.size()) << "trial " << trial;
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        EXPECT_EQ(want[i].first, ref[i].first) << "trial " << trial;
+        EXPECT_EQ(want[i].second, ref[i].second) << "trial " << trial;
       }
     }
   }
@@ -168,6 +235,15 @@ TEST(TimelineDeathTest, ScheduleRejectsBadResourceAndDurationInEveryBuild) {
   EXPECT_DEATH(tl.schedule(a, "x", SimDuration::zero(),
                            SimDuration::seconds(std::nan(""))),
                "Timeline::schedule");
+  // Non-finite times would break span coalescing and the per-resource order.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(tl.schedule(a, "x", SimDuration::zero(), SimDuration::seconds(inf)),
+               "Timeline::schedule");
+  for (const double ready : {std::nan(""), inf, -inf}) {
+    EXPECT_DEATH(tl.schedule(a, "x", SimDuration::seconds(ready),
+                             SimDuration::microseconds(1)),
+                 "Timeline::schedule");
+  }
   // A zero-length event is valid.
   EXPECT_EQ(tl.schedule(a, "x", SimDuration::zero(), SimDuration::zero()).end,
             SimDuration::zero());
@@ -393,6 +469,22 @@ TEST(PipelinedRunner, EnergyPerFrameDropsWithThePipeline) {
   EXPECT_LT(rp.energy_per_frame_mj(), rs.energy_per_frame_mj());
   // Gating the engine draw to PL-busy intervals can only save more.
   EXPECT_LE(rp.energy_gated_mj, rp.energy_mj);
+}
+
+// With overlap on, a window of no frames is refused in every build rather
+// than clamped to 1; with overlap off the depth is unused.
+TEST(PipelinedRunnerDeathTest, RejectsDepthBelowOneWithOverlapOn) {
+  sched::PipelineOptions options;
+  options.depth = 0;
+  auto run = [&] {
+    sched::ArmBackend arm;
+    sched::probe_pipelined(arm, {16, 12}, 1, options);
+  };
+  EXPECT_DEATH(run(), "run_pipelined: pipeline depth 0 with overlap on");
+  options.depth = -4;
+  EXPECT_DEATH(run(), "run_pipelined: pipeline depth -4");
+  options.overlap = false;
+  run();
 }
 
 }  // namespace
