@@ -336,22 +336,36 @@ std::uint64_t hash_doubles(const double (&v)[N]) {
   return fnv1a_bytes(v, sizeof v, kFnvBasis);
 }
 
+// fuse_frames, the standalone forward_dtcwt -> inverse_dtcwt round trip and
+// the DWT baseline fuse_frames_dwt. The standalone hashes were pinned on the
+// last tree whose serial transforms interleaved accounting with numerics.
 TEST(OracleIdentity, AccountSequenceMatchesGoldenHashes) {
   struct Golden {
     sched::FrameSize size;
-    std::uint64_t sequence;
+    std::uint64_t fuse, dtcwt, dwt;
   };
   const Golden goldens[] = {
-      {{33, 25}, 0xb811ccaa819ac263ull},
-      {{88, 72}, 0x577ca4fa0e8ba24full},
+      {{33, 25}, 0xb811ccaa819ac263ull, 0x0e28c54648181fc3ull, 0x1e92d5f2b769f281ull},
+      {{88, 72}, 0x577ca4fa0e8ba24full, 0x321984cd6f6a6f83ull, 0xf1d9194d6c2331bdull},
   };
+  const dwt::TransformConfig config;
   for (const Golden& g : goldens) {
     const auto frames = sched::make_sweep_frames(g.size, 1);
+    const image::ImageF& a = frames[0].visible;
+    const image::ImageF& b = frames[0].thermal;
     for (int n : kThreadWidths) {
-      RecordingFilter rec{HostConfig{n}};
-      (void)fusion::fuse_frames(frames[0].visible, frames[0].thermal, {}, rec);
-      EXPECT_EQ(rec.hash(), g.sequence)
-          << g.size.width << "x" << g.size.height << " threads=" << n;
+      const std::string at = std::to_string(g.size.width) + "x" +
+                             std::to_string(g.size.height) + " threads=" +
+                             std::to_string(n);
+      RecordingFilter fuse{HostConfig{n}};
+      (void)fusion::fuse_frames(a, b, {}, fuse);
+      EXPECT_EQ(fuse.hash(), g.fuse) << at << " fuse_frames";
+      RecordingFilter dtcwt{HostConfig{n}};
+      (void)dwt::inverse_dtcwt(dwt::forward_dtcwt(a, config, dtcwt), config, dtcwt);
+      EXPECT_EQ(dtcwt.hash(), g.dtcwt) << at << " dtcwt round trip";
+      RecordingFilter dwt{HostConfig{n}};
+      (void)fusion::fuse_frames_dwt(a, b, {}, dwt);
+      EXPECT_EQ(dwt.hash(), g.dwt) << at << " fuse_frames_dwt";
     }
   }
 }
