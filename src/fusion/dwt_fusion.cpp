@@ -1,6 +1,8 @@
 #include "src/fusion/dwt_fusion.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "src/common/arena.h"
@@ -180,290 +182,53 @@ int required_slots(const FilterBank& bank) { return bank.taps(); }
 
 const simd::KernelSet& LineFilter::kernels() const { return simd::active_kernels(); }
 
-// --- periodic extension ----------------------------------------------------
-
-namespace {
-
-inline int wrap(int k, int n) {
-  k %= n;
-  return k < 0 ? k + n : k;
-}
-
-}  // namespace
-
-// Periodic extension, ext[k] = x[(k - offset) mod n], in run-based form: the
-// analysis fill is a handful of memcpy runs instead of a per-sample modulo,
-// and the synthesis fill keeps the wrap as an increment-and-reset counter.
-// On the 5..16-tap banks the extension is rebuilt once per line, so this is
-// one of the host hot spots.
-void detail::fill_synthesis_ext(const FilterBank& bank, const float* lo,
-                                const float* hi, int n, float* ext) {
-  // Runs of whole (lo[i], hi[i]) pairs up to each wrap of the stream, with
-  // a lone hi (or trailing lo) sample where a run starts (ends) mid-pair.
-  const int ext_len = n + bank.synth_taps();
-  const int pairs = n / 2;
-  int src = wrap(-bank.synthesis_offset, n);
-  int k = 0;
-  while (k < ext_len) {
-    const int i = src >> 1;
-    const int run = (src & 1) ? 0 : std::min(pairs - i, (ext_len - k) / 2);
-    if (run == 0) {
-      ext[k++] = (src & 1) ? hi[i] : lo[i];
-      if (++src == n) src = 0;
-      continue;
-    }
-    float* e = ext + k;
-    for (int r = 0; r < run; ++r) {
-      e[2 * r] = lo[i + r];
-      e[2 * r + 1] = hi[i + r];
-    }
-    k += 2 * run;
-    src += 2 * run;
-    if (src == n) src = 0;
-  }
-}
-
-void detail::fill_analysis_ext(const FilterBank& bank, const float* x, int n,
-                               float* ext) {
-  const int ext_len = n + bank.taps();
-  int src = wrap(-bank.analysis_offset, n);
-  int k = 0;
-  while (k < ext_len) {
-    const int run = std::min(n - src, ext_len - k);
-    std::memcpy(ext + k, x + src, static_cast<std::size_t>(run) * sizeof(float));
-    k += run;
-    src = 0;
-  }
-}
-
-// --- 2-D transform ----------------------------------------------------------
+// --- the transform engine ---------------------------------------------------
 
 HostLayout host_layout() { return HostLayout::kFused; }
 const char* host_layout_name(HostLayout) { return "fused"; }
 
 namespace {
 
-using detail::fill_analysis_ext;
-using detail::fill_synthesis_ext;
 using image::ImageF;
 
-// Lines per multi-line kernel dispatch, and the alignment that keeps every
-// arena-resident extension line on its own 64-byte boundary.
 constexpr int kLineBlock = simd::kMaxLinesPerCall;
-inline int align16(int n) { return (n + 15) & ~15; }
 
-// Pads to even dimensions by replicating the last row/column. Callers must
-// check needs_padding() first; this always allocates.
-bool needs_padding(const ImageF& img) {
-  return ((img.rows() | img.cols()) & 1) != 0;
-}
+// Blocks of kLineBlock lines covering n lines (the last may be partial).
+int blocks_of(int n) { return (n + kLineBlock - 1) / kLineBlock; }
 
-ImageF pad_even(const ImageF& img) {
-  const int rp = img.rows() + (img.rows() & 1);
-  const int cp = img.cols() + (img.cols() & 1);
-  ImageF out(rp, cp);
-  for (int r = 0; r < rp; ++r) {
-    const int sr = r < img.rows() ? r : img.rows() - 1;
-    for (int c = 0; c < cp; ++c) {
-      const int sc = c < img.cols() ? c : img.cols() - 1;
-      out(r, c) = img(sr, sc);
-    }
+// Completes an extended plane in place: rows [lead, lead + n) hold n rows
+// of `width` floats; every other row j of the ext_rows is row
+// (j - lead) mod n of those — the periodic extension of all its columns at
+// once, so a filter walking the rows reads it at the plane stride with no
+// gather.
+void extend_rows(float* plane, int width, int lead, int n, int ext_rows) {
+  const size_t bytes = static_cast<size_t>(width) * sizeof(float);
+  for (int j = 0; j < ext_rows; ++j) {
+    if (j >= lead && j < lead + n) continue;
+    const int src = lead + ((j - lead) % n + n) % n;
+    std::memcpy(plane + static_cast<size_t>(j) * width,
+                plane + static_cast<size_t>(src) * width, bytes);
   }
-  return out;
 }
 
-struct LevelOut {
-  ImageF ll, lh, hl, hh;
+// Where two banks' periodic extensions ext_t[k] = x[(k - E_t) mod n] of one
+// n-row extended plane start: bank t reads ext_t[k] as plane row
+// k + skip[t] of a plane whose rows [lead, lead + n) hold x. lead = the
+// largest E_t mod n keeps every skip non-negative; `rows` covers both
+// banks' n + taps samples.
+struct PeriodicLayout {
+  int lead;
+  int skip[2];
+  int rows;
 };
 
-// One separable analysis level: rows with `row_bank`, columns with
-// `col_bank`.
-//
-// Memory story: every intermediate lives in the per-thread arena. The row
-// pass filters blocks of kLineBlock contiguous rows through analyze_ml; the
-// column pass transposes the row outputs once (8x8 blocked, simd::
-// transpose_f32) so each column is a contiguous line, filters blocks of
-// columns through the same multi-line kernel, and transposes the four
-// subband planes back. The numeric line loops fan out over the filter's
-// pool (lines within a pass are independent); the accounting loops then run
-// serially in canonical order, with the barriers at the same positions, so
-// the modeled engine sees the same request sequence at any thread count.
-LevelOut analyze_level(const ImageF& padded, const FilterBank& row_bank,
-                       const FilterBank& col_bank, LineFilter& f) {
-  ThreadPool* pool = f.pool();
-  const simd::KernelSet& k = f.kernels();
-  const int rp = padded.rows();
-  const int cp = padded.cols();
-  const int hr = rp / 2;
-  const int hc = cp / 2;
-  const std::size_t plane = static_cast<std::size_t>(rp) * hc;
-
-  // Caller-thread scope: planes shared across pool chunks. Worker-local
-  // extension scratch comes from each worker's own arena inside the lambdas.
-  ArenaScope planes;
-  float* rowlo = planes.alloc(plane);
-  float* rowhi = planes.alloc(plane);
-
-  const int row_ext_stride = align16(cp + row_bank.taps());
-  auto row_block = [&](int r0, int r1) {
-    ArenaScope scratch;
-    float* ext = scratch.alloc(static_cast<std::size_t>(kLineBlock) * row_ext_stride);
-    for (int r = r0; r < r1; r += kLineBlock) {
-      const int nb = std::min(kLineBlock, r1 - r);
-      for (int l = 0; l < nb; ++l) {
-        fill_analysis_ext(row_bank, padded.row(r + l), cp, ext + l * row_ext_stride);
-      }
-      k.analyze_ml(ext, row_ext_stride, nb, hc, row_bank.lp.data(),
-                   row_bank.hp.data(), row_bank.taps(),
-                   rowlo + static_cast<std::size_t>(r) * hc,
-                   rowhi + static_cast<std::size_t>(r) * hc, hc);
-    }
-  };
-  parallel_chunks(pool, 0, rp, row_block);
-  for (int r = 0; r < rp; ++r) f.account_analyze(hc, row_bank.taps());
-  f.barrier();  // the column pass reads the row pass's outputs
-
-  float* tlo = planes.alloc(plane);
-  float* thi = planes.alloc(plane);
-  simd::transpose_f32(rowlo, rp, hc, hc, tlo, rp);
-  simd::transpose_f32(rowhi, rp, hc, hc, thi, rp);
-  const std::size_t half_plane = static_cast<std::size_t>(hr) * hc;
-  float* tll = planes.alloc(half_plane);
-  float* tlh = planes.alloc(half_plane);
-  float* thl = planes.alloc(half_plane);
-  float* thh = planes.alloc(half_plane);
-  const int col_ext_stride = align16(rp + col_bank.taps());
-  auto col_block = [&](int c0, int c1) {
-    ArenaScope scratch;
-    float* ext = scratch.alloc(static_cast<std::size_t>(kLineBlock) * col_ext_stride);
-    for (int c = c0; c < c1; c += kLineBlock) {
-      const int nb = std::min(kLineBlock, c1 - c);
-      for (int l = 0; l < nb; ++l) {
-        fill_analysis_ext(col_bank, tlo + static_cast<std::size_t>(c + l) * rp, rp,
-                          ext + l * col_ext_stride);
-      }
-      k.analyze_ml(ext, col_ext_stride, nb, hr, col_bank.lp.data(),
-                   col_bank.hp.data(), col_bank.taps(),
-                   tll + static_cast<std::size_t>(c) * hr,
-                   tlh + static_cast<std::size_t>(c) * hr, hr);
-      for (int l = 0; l < nb; ++l) {
-        fill_analysis_ext(col_bank, thi + static_cast<std::size_t>(c + l) * rp, rp,
-                          ext + l * col_ext_stride);
-      }
-      k.analyze_ml(ext, col_ext_stride, nb, hr, col_bank.lp.data(),
-                   col_bank.hp.data(), col_bank.taps(),
-                   thl + static_cast<std::size_t>(c) * hr,
-                   thh + static_cast<std::size_t>(c) * hr, hr);
-    }
-  };
-  parallel_chunks(pool, 0, hc, col_block);
-  for (int c = 0; c < hc; ++c) {
-    f.account_analyze(hr, col_bank.taps());
-    f.account_analyze(hr, col_bank.taps());
-  }
-  LevelOut out;
-  out.ll = ImageF(hr, hc);
-  out.lh = ImageF(hr, hc);
-  out.hl = ImageF(hr, hc);
-  out.hh = ImageF(hr, hc);
-  simd::transpose_f32(tll, hc, hr, hr, out.ll.data(), hc);
-  simd::transpose_f32(tlh, hc, hr, hr, out.lh.data(), hc);
-  simd::transpose_f32(thl, hc, hr, hr, out.hl.data(), hc);
-  simd::transpose_f32(thh, hc, hr, hr, out.hh.data(), hc);
-  f.barrier();  // the next level (or consumer) reads this level's outputs
-  return out;
-}
-
-// Inverse of analyze_level, cropped to the level's pre-padding size: the
-// four subband planes are transposed once so the column-pass lo/hi inputs
-// are contiguous rows, blocks of columns run through synthesize_ml into a
-// transposed intermediate, and one transpose back feeds the row pass.
-ImageF synthesize_level(const ImageF& ll, const LevelBands& bands,
-                        const FilterBank& row_bank, const FilterBank& col_bank,
-                        LineFilter& f) {
-  ThreadPool* pool = f.pool();
-  const simd::KernelSet& k = f.kernels();
-  const int rp2 = ll.rows();
-  const int cp2 = ll.cols();
-  const int rp = rp2 * 2;
-  const int cp = cp2 * 2;
-  const std::size_t sub_plane = static_cast<std::size_t>(rp2) * cp2;
-  const std::size_t half_plane = static_cast<std::size_t>(rp) * cp2;
-
-  ArenaScope planes;
-  float* tll = planes.alloc(sub_plane);
-  float* tlh = planes.alloc(sub_plane);
-  float* thl = planes.alloc(sub_plane);
-  float* thh = planes.alloc(sub_plane);
-  simd::transpose_f32(ll.data(), rp2, cp2, cp2, tll, rp2);
-  simd::transpose_f32(bands.lh.data(), rp2, cp2, cp2, tlh, rp2);
-  simd::transpose_f32(bands.hl.data(), rp2, cp2, cp2, thl, rp2);
-  simd::transpose_f32(bands.hh.data(), rp2, cp2, cp2, thh, rp2);
-  float* trowlo = planes.alloc(half_plane);  // cp2 x rp, columns as rows
-  float* trowhi = planes.alloc(half_plane);
-  const int col_ext_stride = align16(rp + col_bank.synth_taps());
-  auto col_block = [&](int c0, int c1) {
-    ArenaScope scratch;
-    float* ext = scratch.alloc(static_cast<std::size_t>(kLineBlock) * col_ext_stride);
-    for (int c = c0; c < c1; c += kLineBlock) {
-      const int nb = std::min(kLineBlock, c1 - c);
-      for (int l = 0; l < nb; ++l) {
-        fill_synthesis_ext(col_bank, tll + static_cast<std::size_t>(c + l) * rp2,
-                           tlh + static_cast<std::size_t>(c + l) * rp2, rp,
-                           ext + l * col_ext_stride);
-      }
-      k.synthesize_ml(ext, col_ext_stride, nb, rp / 2, col_bank.ca.data(),
-                      col_bank.cb.data(), col_bank.synth_taps(),
-                      trowlo + static_cast<std::size_t>(c) * rp, rp);
-      for (int l = 0; l < nb; ++l) {
-        fill_synthesis_ext(col_bank, thl + static_cast<std::size_t>(c + l) * rp2,
-                           thh + static_cast<std::size_t>(c + l) * rp2, rp,
-                           ext + l * col_ext_stride);
-      }
-      k.synthesize_ml(ext, col_ext_stride, nb, rp / 2, col_bank.ca.data(),
-                      col_bank.cb.data(), col_bank.synth_taps(),
-                      trowhi + static_cast<std::size_t>(c) * rp, rp);
-    }
-  };
-  parallel_chunks(pool, 0, cp2, col_block);
-  for (int c = 0; c < cp2; ++c) {
-    f.account_synthesize(rp / 2, col_bank.synth_taps());
-    f.account_synthesize(rp / 2, col_bank.synth_taps());
-  }
-  f.barrier();  // the row pass reads the column pass's outputs
-
-  float* rowlo = planes.alloc(half_plane);  // rp x cp2
-  float* rowhi = planes.alloc(half_plane);
-  simd::transpose_f32(trowlo, cp2, rp, rp, rowlo, cp2);
-  simd::transpose_f32(trowhi, cp2, rp, rp, rowhi, cp2);
-  ImageF padded(rp, cp);
-  const int row_ext_stride = align16(cp + row_bank.synth_taps());
-  auto row_block = [&](int r0, int r1) {
-    ArenaScope scratch;
-    float* ext = scratch.alloc(static_cast<std::size_t>(kLineBlock) * row_ext_stride);
-    for (int r = r0; r < r1; r += kLineBlock) {
-      const int nb = std::min(kLineBlock, r1 - r);
-      for (int l = 0; l < nb; ++l) {
-        fill_synthesis_ext(row_bank, rowlo + static_cast<std::size_t>(r + l) * cp2,
-                           rowhi + static_cast<std::size_t>(r + l) * cp2, cp,
-                           ext + l * row_ext_stride);
-      }
-      k.synthesize_ml(ext, row_ext_stride, nb, cp / 2, row_bank.ca.data(),
-                      row_bank.cb.data(), row_bank.synth_taps(), padded.row(r), cp);
-    }
-  };
-  parallel_chunks(pool, 0, rp, row_block);
-  for (int r = 0; r < rp; ++r) {
-    f.account_synthesize(cp / 2, row_bank.synth_taps());
-  }
-  f.barrier();  // the next (shallower) level reads this reconstruction
-  if (bands.in_rows == rp && bands.in_cols == cp) return padded;
-  ImageF out(bands.in_rows, bands.in_cols);
-  for (int r = 0; r < bands.in_rows; ++r) {
-    std::memcpy(out.row(r), padded.row(r),
-                static_cast<std::size_t>(bands.in_cols) * sizeof(float));
-  }
-  return out;
+PeriodicLayout periodic_layout(int e0, int e1, int n, int taps) {
+  const int e[2] = {(e0 % n + n) % n, (e1 % n + n) % n};
+  PeriodicLayout w;
+  w.lead = std::max(e[0], e[1]);
+  for (int t = 0; t < 2; ++t) w.skip[t] = w.lead - e[t];
+  w.rows = std::max(n + taps + std::max(w.skip[0], w.skip[1]), w.lead + n);
+  return w;
 }
 
 }  // namespace
@@ -488,72 +253,246 @@ FilterBank bank_for_level(const TransformConfig& config, int level, int tree) {
   return make_filter_bank(base, tree ? 1 : 0);
 }
 
-// Serial replay of one tree's forward accounting: re-derives the per-level
-// line dimensions (they depend only on the input size, never on the data)
-// and issues the exact account/barrier sequence the serial combined path
-// would have interleaved with the numerics.
-void account_forward_tree(int rows, int cols, const TransformConfig& config,
-                          int row_tree, int col_tree, LineFilter& f) {
-  std::vector<FilterBank> row_banks, col_banks;
-  row_banks.reserve(config.levels);
-  col_banks.reserve(config.levels);
-  for (int level = 0; level < config.levels; ++level) {
-    row_banks.push_back(bank_for_level(config, level, row_tree));
-    col_banks.push_back(bank_for_level(config, level, col_tree));
+TransformLevels::TransformLevels(int rows, int cols, const TransformConfig& config,
+                                 const char* where) {
+  // Always-on: the CMake default is Release, where an assert would let an
+  // empty or zero-level transform index past its planes.
+  if (rows < 1 || cols < 1 || config.levels < 1) {
+    std::fprintf(stderr, "fatal: %s(%dx%d, %d levels)\n", where, rows, cols,
+                 config.levels);
+    std::abort();
   }
-  account_forward_tree(rows, cols, config, row_banks.data(), col_banks.data(),
-                       f);
-}
-
-void account_forward_tree(int rows, int cols, const TransformConfig& config,
-                          const FilterBank* row_banks,
-                          const FilterBank* col_banks, LineFilter& f) {
+  for (int tree = 0; tree < 2; ++tree) {
+    banks[tree].reserve(config.levels);
+    for (int level = 0; level < config.levels; ++level) {
+      banks[tree].push_back(bank_for_level(config, level, tree));
+    }
+  }
+  // One lane-interleaved call filters both trees with one tap count, and
+  // select_synth_ml interleaves one (ca, cb) pair per call. make_filter_bank
+  // guarantees the tree-A and tree-B banks agree on window widths by
+  // construction (the level-1 delay shifts both window ends; the q-shift
+  // reversal stays inside the same 14-tap window); a config that broke it
+  // must not run.
+  for (int level = 0; level < config.levels; ++level) {
+    const FilterBank& a = banks[0][level];
+    const FilterBank& b = banks[1][level];
+    if (a.taps() != b.taps() || a.synth_taps() != b.synth_taps()) {
+      std::fprintf(stderr,
+                   "fatal: %s level %d: tree banks disagree on taps (%d, %d) "
+                   "or synth_taps (%d, %d)\n",
+                   where, level, a.taps(), b.taps(), a.synth_taps(),
+                   b.synth_taps());
+      std::abort();
+    }
+  }
+  dims.reserve(config.levels);
   int r = rows, c = cols;
   for (int level = 0; level < config.levels; ++level) {
-    const int row_taps = row_banks[level].taps();
-    const int col_taps = col_banks[level].taps();
-    const int rp = r + (r & 1);
-    const int cp = c + (c & 1);
-    for (int i = 0; i < rp; ++i) f.account_analyze(cp / 2, row_taps);
-    f.barrier();
-    for (int i = 0; i < cp / 2; ++i) {
-      f.account_analyze(rp / 2, col_taps);
-      f.account_analyze(rp / 2, col_taps);
-    }
-    f.barrier();
-    r = rp / 2;
-    c = cp / 2;
+    LevelDims d;
+    d.r = r;
+    d.c = c;
+    d.rp = r + (r & 1);
+    d.cp = c + (c & 1);
+    d.hr = d.rp / 2;
+    d.hc = d.cp / 2;
+    // Extended row-pass planes (extend_rows): the column bank of tree t
+    // reads its extension ext[k] = x[(k - E_t) mod rp] as plane row
+    // k + skip[t].
+    const PeriodicLayout w = periodic_layout(banks[0][level].analysis_offset,
+                                             banks[1][level].analysis_offset,
+                                             d.rp, banks[0][level].taps());
+    d.lead = w.lead;
+    d.skip[0] = w.skip[0];
+    d.skip[1] = w.skip[1];
+    d.ext_rows = w.rows;
+    dims.push_back(d);
+    r = d.hr;
+    c = d.hc;
   }
 }
 
-// Dims-based inverse replay for the fused plan, which never materializes a
-// TreePyramid: the per-level pre-padding dims are re-derived from the input
-// size exactly as forward_tree records them in bands.in_rows/in_cols.
-void account_inverse_tree(int rows, int cols, const TransformConfig& config,
-                          const FilterBank* row_banks,
-                          const FilterBank* col_banks, LineFilter& f) {
-  std::vector<int> lr(config.levels + 1), lc(config.levels + 1);
-  lr[0] = rows;
-  lc[0] = cols;
-  for (int level = 0; level < config.levels; ++level) {
-    lr[level + 1] = (lr[level] + (lr[level] & 1)) / 2;
-    lc[level + 1] = (lc[level] + (lc[level] & 1)) / 2;
+// Row passes run over slabs of kLineBlock rows in the lane layout — lane l
+// of a slab is image row r + l. The source rows are transposed into the
+// slab, edge-replicated to the padded rp x cp and periodically extended as
+// whole rows; one analyze_mag_ml call then filters both sides (re = side 0,
+// im = side 1, no magnitudes), reading one shared slab when the sides share
+// a source. The four lane outputs are transposed into rows
+// [lead, lead + rp), and extend_rows completes the periodic extension
+// around them.
+void forward_row_pass(const TransformLevels& t, int level,
+                      const float* const src[2], int src_stride,
+                      const int row_tree[2], const simd::KernelSet& k,
+                      ThreadPool* pool, float* const lo[2], float* const hi[2]) {
+  const LevelDims& d = t.dims[level];
+  const FilterBank* const bank[2] = {&t.banks[row_tree[0]][level],
+                                     &t.banks[row_tree[1]][level]};
+  const int taps = bank[0]->taps();
+  const PeriodicLayout w = periodic_layout(
+      bank[0]->analysis_offset, bank[1]->analysis_offset, d.cp, taps);
+  const int sources = src[0] == src[1] ? 1 : 2;
+  float* const dst[4] = {lo[0], hi[0], lo[1], hi[1]};
+  auto block = [&](int b0, int b1) {
+    ArenaScope scratch;
+    float* slab[2] = {};
+    for (int s = 0; s < sources; ++s) {
+      slab[s] = scratch.alloc(static_cast<size_t>(w.rows) * kLineBlock);
+    }
+    if (sources == 1) slab[1] = slab[0];
+    float* out[4] = {};
+    for (float*& o : out) o = scratch.alloc(static_cast<size_t>(d.hc) * kLineBlock);
+    for (int b = b0; b < b1; ++b) {
+      const int r = b * kLineBlock;
+      const int nb = std::min(kLineBlock, d.rp - r);
+      // Rows past r - 1 (at most the block's last lane, as rp is even)
+      // replicate it; column cp - 1 past c - 1 replicates it.
+      const int real = std::min(nb, d.r - r);
+      for (int s = 0; s < sources; ++s) {
+        float* x = slab[s] + static_cast<size_t>(w.lead) * kLineBlock;
+        simd::transpose_f32(src[s] + static_cast<size_t>(r) * src_stride, real,
+                            d.c, src_stride, x, kLineBlock);
+        if (real < nb) {
+          for (int j = 0; j < d.c; ++j) {
+            x[j * kLineBlock + real] = x[j * kLineBlock + real - 1];
+          }
+        }
+        if (d.cp > d.c) {
+          std::memcpy(x + static_cast<size_t>(d.c) * kLineBlock,
+                      x + static_cast<size_t>(d.c - 1) * kLineBlock,
+                      kLineBlock * sizeof(float));
+        }
+        extend_rows(slab[s], kLineBlock, w.lead, d.cp, w.rows);
+      }
+      k.analyze_mag_ml(slab[0] + static_cast<size_t>(w.skip[0]) * kLineBlock,
+                       slab[1] + static_cast<size_t>(w.skip[1]) * kLineBlock,
+                       kLineBlock, nb, d.hc, bank[0]->lp.data(), bank[0]->hp.data(),
+                       bank[1]->lp.data(), bank[1]->hp.data(), taps, out[0],
+                       out[1], out[2], out[3], nullptr, nullptr, kLineBlock);
+      for (int q = 0; q < 4; ++q) {
+        simd::transpose_f32(out[q], d.hc, nb, kLineBlock,
+                            dst[q] + static_cast<size_t>(d.lead + r) * d.hc, d.hc);
+      }
+    }
+  };
+  parallel_chunks(pool, 0, blocks_of(d.rp), block);
+  for (float* plane : dst) extend_rows(plane, d.hc, d.lead, d.rp, d.ext_rows);
+}
+
+// Lane l of a call is image column c + l, read straight from the extended
+// row-pass planes at their row stride.
+void analysis_col_pass(const TransformLevels& t, int level,
+                       const float* const lo[2], const float* const hi[2],
+                       const int col_tree[2], const simd::KernelSet& k,
+                       ThreadPool* pool, float* const ll[2], float* const lh[2],
+                       float* const hl[2], float* const hh[2], int stride) {
+  const LevelDims& d = t.dims[level];
+  const FilterBank& b0 = t.banks[col_tree[0]][level];
+  const FilterBank& b1 = t.banks[col_tree[1]][level];
+  const size_t in0 = static_cast<size_t>(d.skip[col_tree[0]]) * d.hc;
+  const size_t in1 = static_cast<size_t>(d.skip[col_tree[1]]) * d.hc;
+  parallel_chunks(pool, 0, blocks_of(d.hc), [&](int c0, int c1) {
+    for (int bi = c0; bi < c1; ++bi) {
+      const int c = bi * kLineBlock;
+      const int nb = std::min(kLineBlock, d.hc - c);
+      k.analyze_mag_ml(lo[0] + in0 + c, lo[1] + in1 + c, d.hc, nb, d.hr,
+                       b0.lp.data(), b0.hp.data(), b1.lp.data(), b1.hp.data(),
+                       b0.taps(), ll[0] + c, lh[0] + c, ll[1] + c, lh[1] + c,
+                       nullptr, nullptr, stride);
+      k.analyze_mag_ml(hi[0] + in0 + c, hi[1] + in1 + c, d.hc, nb, d.hr,
+                       b0.lp.data(), b0.hp.data(), b1.lp.data(), b1.hp.data(),
+                       b0.taps(), hl[0] + c, hh[0] + c, hl[1] + c, hh[1] + c,
+                       nullptr, nullptr, stride);
+    }
+  });
+}
+
+// select_synth_ml with every *_b null builds each column's periodic
+// interleaved extension and synthesizes it, straight into the row-major
+// rowlo/rowhi planes.
+void synthesis_col_pass(const TransformLevels& t, int level, int col_tree,
+                        const float* ll, const float* lh, const float* hl,
+                        const float* hh, int stride, const simd::KernelSet& k,
+                        ThreadPool* pool, float* rowlo, float* rowhi) {
+  const LevelDims& d = t.dims[level];
+  const FilterBank& b = t.banks[col_tree][level];
+  parallel_chunks(pool, 0, blocks_of(d.hc), [&](int c0, int c1) {
+    for (int bi = c0; bi < c1; ++bi) {
+      const int c = bi * kLineBlock;
+      const int nb = std::min(kLineBlock, d.hc - c);
+      k.select_synth_ml(ll + c, nullptr, nullptr, nullptr, lh + c, nullptr,
+                        nullptr, nullptr, stride, nb, d.hr, b.ca.data(),
+                        b.cb.data(), b.synth_taps(), b.synthesis_offset,
+                        rowlo + c, d.hc);
+      k.select_synth_ml(hl + c, nullptr, nullptr, nullptr, hh + c, nullptr,
+                        nullptr, nullptr, stride, nb, d.hr, b.ca.data(),
+                        b.cb.data(), b.synth_taps(), b.synthesis_offset,
+                        rowhi + c, d.hc);
+    }
+  });
+}
+
+// Over kLineBlock-row slabs of the r rows kept (a padded last row only
+// feeds the crop): both inputs are transposed into lane slabs,
+// select_synth_ml with every *_b null synthesizes each lane, and the first
+// c samples of each lane are transposed back.
+void synthesis_row_pass(const TransformLevels& t, int level, int row_tree,
+                        const float* rowlo, const float* rowhi,
+                        const simd::KernelSet& k, ThreadPool* pool, float* out,
+                        int out_stride) {
+  const LevelDims& d = t.dims[level];
+  const FilterBank& bank = t.banks[row_tree][level];
+  auto block = [&](int b0, int b1) {
+    ArenaScope scratch;
+    float* lo = scratch.alloc(static_cast<size_t>(d.hc) * kLineBlock);
+    float* hi = scratch.alloc(static_cast<size_t>(d.hc) * kLineBlock);
+    float* y = scratch.alloc(static_cast<size_t>(d.cp) * kLineBlock);
+    for (int b = b0; b < b1; ++b) {
+      const int r = b * kLineBlock;
+      const int nb = std::min(kLineBlock, d.r - r);
+      simd::transpose_f32(rowlo + static_cast<size_t>(r) * d.hc, nb, d.hc, d.hc, lo,
+                          kLineBlock);
+      simd::transpose_f32(rowhi + static_cast<size_t>(r) * d.hc, nb, d.hc, d.hc, hi,
+                          kLineBlock);
+      k.select_synth_ml(lo, nullptr, nullptr, nullptr, hi, nullptr, nullptr,
+                        nullptr, kLineBlock, nb, d.hc, bank.ca.data(),
+                        bank.cb.data(), bank.synth_taps(), bank.synthesis_offset,
+                        y, kLineBlock);
+      simd::transpose_f32(y, d.c, nb, kLineBlock,
+                          out + static_cast<size_t>(r) * out_stride, out_stride);
+    }
+  };
+  parallel_chunks(pool, 0, blocks_of(d.r), block);
+}
+
+void account_forward_tree(const TransformLevels& t, int row_tree, int col_tree,
+                          LineFilter& f) {
+  for (int level = 0; level < t.levels(); ++level) {
+    const LevelDims& d = t.dims[level];
+    const int row_taps = t.banks[row_tree][level].taps();
+    const int col_taps = t.banks[col_tree][level].taps();
+    for (int i = 0; i < d.rp; ++i) f.account_analyze(d.hc, row_taps);
+    f.barrier();  // the column pass reads the row pass's outputs
+    for (int i = 0; i < d.hc; ++i) {
+      f.account_analyze(d.hr, col_taps);
+      f.account_analyze(d.hr, col_taps);
+    }
+    f.barrier();  // the next level (or consumer) reads this level's outputs
   }
-  int rp2 = lr[config.levels], cp2 = lc[config.levels];
-  for (int level = config.levels - 1; level >= 0; --level) {
-    const int col_staps = col_banks[level].synth_taps();
-    const int row_staps = row_banks[level].synth_taps();
-    for (int i = 0; i < cp2; ++i) {
-      f.account_synthesize(rp2, col_staps);
-      f.account_synthesize(rp2, col_staps);
+}
+
+void account_inverse_tree(const TransformLevels& t, int row_tree, int col_tree,
+                          LineFilter& f) {
+  for (int level = t.levels() - 1; level >= 0; --level) {
+    const LevelDims& d = t.dims[level];
+    const int col_staps = t.banks[col_tree][level].synth_taps();
+    const int row_staps = t.banks[row_tree][level].synth_taps();
+    for (int i = 0; i < d.hc; ++i) {
+      f.account_synthesize(d.hr, col_staps);
+      f.account_synthesize(d.hr, col_staps);
     }
-    f.barrier();
-    for (int i = 0; i < 2 * rp2; ++i) {
-      f.account_synthesize(cp2, row_staps);
-    }
-    f.barrier();
-    rp2 = lr[level];
-    cp2 = lc[level];
+    f.barrier();  // the row pass reads the column pass's outputs
+    for (int i = 0; i < d.rp; ++i) f.account_synthesize(d.hc, row_staps);
+    f.barrier();  // the next (shallower) level reads this reconstruction
   }
 }
 
@@ -561,138 +500,220 @@ void account_inverse_tree(int rows, int cols, const TransformConfig& config,
 
 namespace {
 
-// Serial replay of one tree's inverse accounting from the pyramid's actual
-// level dims (see detail::account_forward_tree); inverse_tree can be handed
-// a pyramid whose bands were built elsewhere, so it trusts the pyramid over
-// the dims chain.
-void account_inverse_tree(const TreePyramid& pyr, const TransformConfig& config,
-                          int row_tree, int col_tree, LineFilter& f) {
-  int rp2 = pyr.ll.rows(), cp2 = pyr.ll.cols();
-  for (int level = static_cast<int>(pyr.levels.size()) - 1; level >= 0; --level) {
-    const FilterBank row_bank = detail::bank_for_level(config, level, row_tree);
-    const FilterBank col_bank = detail::bank_for_level(config, level, col_tree);
-    for (int i = 0; i < cp2; ++i) {
-      f.account_synthesize(rp2, col_bank.synth_taps());
-      f.account_synthesize(rp2, col_bank.synth_taps());
+using detail::LevelDims;
+using detail::TransformLevels;
+
+// Both sides' forward transform from their level-0 row-pass planes (side s:
+// row tree row_tree[s], column tree col_tree[s]) into out[s]. Subband planes
+// are written straight into the pyramids; a non-deepest lowpass plane stays
+// in scratch as the next level's input.
+void forward_sides(const TransformLevels& t, float* const row0lo[2],
+                   float* const row0hi[2], const int row_tree[2],
+                   const int col_tree[2], const simd::KernelSet& k,
+                   ThreadPool* pool, TreePyramid* const out[2]) {
+  ArenaScope scope;
+  const float* cur[2] = {};  // this level's lowpass input (levels > 0)
+  for (int level = 0; level < t.levels(); ++level) {
+    const LevelDims& d = t.dims[level];
+    float* ll[2];
+    float* lh[2];
+    float* hl[2];
+    float* hh[2];
+    for (int s = 0; s < 2; ++s) {
+      LevelBands& b = out[s]->levels.emplace_back();
+      b.in_rows = d.r;
+      b.in_cols = d.c;
+      for (ImageF* band : {&b.lh, &b.hl, &b.hh}) *band = ImageF(d.hr, d.hc);
+      lh[s] = b.lh.data();
+      hl[s] = b.hl.data();
+      hh[s] = b.hh.data();
+      if (level + 1 == t.levels()) {
+        out[s]->ll = ImageF(d.hr, d.hc);
+        ll[s] = out[s]->ll.data();
+      } else {
+        ll[s] = scope.alloc(static_cast<size_t>(d.hr) * d.hc);
+      }
     }
-    f.barrier();
-    for (int i = 0; i < 2 * rp2; ++i) {
-      f.account_synthesize(cp2, row_bank.synth_taps());
+    ArenaScope level_scope;
+    float* const* lo = row0lo;
+    float* const* hi = row0hi;
+    float* rowlo[2];
+    float* rowhi[2];
+    if (level > 0) {
+      for (int s = 0; s < 2; ++s) {
+        rowlo[s] = level_scope.alloc(static_cast<size_t>(d.ext_rows) * d.hc);
+        rowhi[s] = level_scope.alloc(static_cast<size_t>(d.ext_rows) * d.hc);
+      }
+      detail::forward_row_pass(t, level, cur, d.c, row_tree, k, pool, rowlo, rowhi);
+      lo = rowlo;
+      hi = rowhi;
     }
-    f.barrier();
-    // The next (shallower) level's ll is this level's cropped reconstruction.
-    rp2 = pyr.levels[level].in_rows;
-    cp2 = pyr.levels[level].in_cols;
+    detail::analysis_col_pass(t, level, lo, hi, col_tree, k, pool, ll, lh, hl, hh,
+                              d.hc);
+    for (int s = 0; s < 2; ++s) cur[s] = ll[s];
   }
+}
+
+// Both sides' level-0 row pass (side s: the rows x cols frame src[s], row
+// tree row_tree[s]) into extended planes lo[s]/hi[s] from `scope`.
+void level0_row_pass(const TransformLevels& t, const float* const src[2],
+                     const int row_tree[2], const simd::KernelSet& k,
+                     ThreadPool* pool, ArenaScope& scope, float* lo[2],
+                     float* hi[2]) {
+  const LevelDims& d = t.dims[0];
+  for (int s = 0; s < 2; ++s) {
+    lo[s] = scope.alloc(static_cast<size_t>(d.ext_rows) * d.hc);
+    hi[s] = scope.alloc(static_cast<size_t>(d.ext_rows) * d.hc);
+  }
+  detail::forward_row_pass(t, 0, src, d.c, row_tree, k, pool, lo, hi);
+}
+
+// Aborts in every build type, naming `where`, unless `pyr` has t.levels()
+// levels whose input and band dims follow t's halving chain — the inverse
+// reads every plane at those dims.
+void check_pyramid(const TransformLevels& t, const TreePyramid& pyr,
+                   const char* where) {
+  bool ok = static_cast<int>(pyr.levels.size()) == t.levels() &&
+            pyr.ll.rows() == t.dims.back().hr && pyr.ll.cols() == t.dims.back().hc;
+  for (int level = 0; ok && level < t.levels(); ++level) {
+    const LevelDims& d = t.dims[level];
+    const LevelBands& b = pyr.levels[level];
+    ok = b.in_rows == d.r && b.in_cols == d.c;
+    for (const ImageF* band : {&b.lh, &b.hl, &b.hh}) {
+      ok = ok && band->rows() == d.hr && band->cols() == d.hc;
+    }
+  }
+  if (!ok) {
+    std::fprintf(stderr,
+                 "fatal: %s: pyramid is not the %d-level transform of a %dx%d "
+                 "frame\n",
+                 where, t.levels(), t.dims[0].r, t.dims[0].c);
+    std::abort();
+  }
+}
+
+// The TransformLevels of the frame a pyramid's level 0 records, checked
+// against the pyramid.
+TransformLevels levels_of(const TreePyramid& pyr, const TransformConfig& config,
+                          const char* where) {
+  const bool any = !pyr.levels.empty();
+  TransformLevels t(any ? pyr.levels[0].in_rows : 0,
+                    any ? pyr.levels[0].in_cols : 0, config, where);
+  check_pyramid(t, pyr, where);
+  return t;
 }
 
 }  // namespace
 
+void detail::forward_tree_pair(const TransformLevels& t, const ImageF& a,
+                               const ImageF& b, int row_tree, int col_tree,
+                               const simd::KernelSet& k, ThreadPool* pool,
+                               TreePyramid* pa, TreePyramid* pb) {
+  ArenaScope scope;
+  const float* const src[2] = {a.data(), b.data()};
+  const int rt[2] = {row_tree, row_tree};
+  const int ct[2] = {col_tree, col_tree};
+  float* lo[2];
+  float* hi[2];
+  level0_row_pass(t, src, rt, k, pool, scope, lo, hi);
+  TreePyramid* const out[2] = {pa, pb};
+  forward_sides(t, lo, hi, rt, ct, k, pool, out);
+}
+
+ImageF detail::inverse_tree_numerics(const TransformLevels& t,
+                                     const TreePyramid& pyr, int row_tree,
+                                     int col_tree, const simd::KernelSet& k,
+                                     ThreadPool* pool) {
+  ImageF out(t.dims[0].r, t.dims[0].c);
+  ArenaScope scope;
+  // This level's lowpass input, hr x hc: the deepest lowpass band, above it
+  // the deeper level's reconstruction.
+  const float* ll = pyr.ll.data();
+  for (int level = t.levels() - 1; level >= 0; --level) {
+    const LevelDims& d = t.dims[level];
+    const LevelBands& b = pyr.levels[level];
+    float* rowlo = scope.alloc(static_cast<size_t>(d.rp) * d.hc);
+    float* rowhi = scope.alloc(static_cast<size_t>(d.rp) * d.hc);
+    synthesis_col_pass(t, level, col_tree, ll, b.lh.data(), b.hl.data(),
+                       b.hh.data(), d.hc, k, pool, rowlo, rowhi);
+    float* rec =
+        level == 0 ? out.data() : scope.alloc(static_cast<size_t>(d.r) * d.c);
+    synthesis_row_pass(t, level, row_tree, rowlo, rowhi, k, pool, rec, d.c);
+    ll = rec;
+  }
+  return out;
+}
+
 TreePyramid forward_tree(const ImageF& img, const TransformConfig& config,
                          int row_tree, int col_tree, LineFilter& filter) {
-  TreePyramid pyr;
-  // Level 0 reads `img` in place; deeper levels read the previous level's ll
-  // (owned). The old path copied the whole input per tree — 4 copies per
-  // transform — for no numeric reason.
-  const ImageF* current = &img;
-  ImageF own;
-  for (int level = 0; level < config.levels; ++level) {
-    const FilterBank row_bank = detail::bank_for_level(config, level, row_tree);
-    const FilterBank col_bank = detail::bank_for_level(config, level, col_tree);
-    LevelBands bands;
-    bands.in_rows = current->rows();
-    bands.in_cols = current->cols();
-    const bool pad = needs_padding(*current);
-    const ImageF padded_storage = pad ? pad_even(*current) : ImageF();
-    const ImageF& padded = pad ? padded_storage : *current;
-    LevelOut out = analyze_level(padded, row_bank, col_bank, filter);
-    bands.lh = std::move(out.lh);
-    bands.hl = std::move(out.hl);
-    bands.hh = std::move(out.hh);
-    pyr.levels.push_back(std::move(bands));
-    own = std::move(out.ll);
-    current = &own;
-  }
-  pyr.ll = config.levels > 0 ? std::move(own) : img;
+  const TransformLevels t(img.rows(), img.cols(), config, "forward_tree");
+  // One tree fills one side of each lane call; the other side's duplicate
+  // is dropped.
+  TreePyramid pyr, spare;
+  detail::forward_tree_pair(t, img, img, row_tree, col_tree, filter.kernels(),
+                            filter.pool(), &pyr, &spare);
+  detail::account_forward_tree(t, row_tree, col_tree, filter);
   return pyr;
 }
 
 ImageF inverse_tree(const TreePyramid& pyr, const TransformConfig& config,
                     int row_tree, int col_tree, LineFilter& filter) {
-  ImageF current = pyr.ll;
-  for (int level = static_cast<int>(pyr.levels.size()) - 1; level >= 0; --level) {
-    const FilterBank row_bank = detail::bank_for_level(config, level, row_tree);
-    const FilterBank col_bank = detail::bank_for_level(config, level, col_tree);
-    current = synthesize_level(current, pyr.levels[level], row_bank, col_bank, filter);
-  }
-  return current;
+  const TransformLevels t = levels_of(pyr, config, "inverse_tree");
+  ImageF out = detail::inverse_tree_numerics(t, pyr, row_tree, col_tree,
+                                             filter.kernels(), filter.pool());
+  detail::account_inverse_tree(t, row_tree, col_tree, filter);
+  return out;
 }
 
 DtcwtPyramid forward_dtcwt(const ImageF& img, const TransformConfig& config,
                            LineFilter& filter) {
-  DtcwtPyramid pyr;
+  const TransformLevels t(img.rows(), img.cols(), config, "forward_dtcwt");
+  const simd::KernelSet& k = filter.kernels();
   ThreadPool* pool = filter.pool();
-  if (pool == nullptr) {
-    for (int t = 0; t < 4; ++t) {
-      pyr.tree[t] = forward_tree(img, config, t >> 1, t & 1, filter);
+  DtcwtPyramid pyr;
+  {
+    // Both pairs' side s is row tree s, so one level-0 row pass serves both.
+    ArenaScope scope;
+    const float* const src[2] = {img.data(), img.data()};
+    const int row_tree[2] = {0, 1};
+    float* lo[2];
+    float* hi[2];
+    level0_row_pass(t, src, row_tree, k, pool, scope, lo, hi);
+    for (int p = 0; p < 2; ++p) {
+      const int col_tree[2] = {p, 1 - p};
+      TreePyramid* const out[2] = {&pyr.tree[detail::kPairTree[p][0]],
+                                   &pyr.tree[detail::kPairTree[p][1]]};
+      forward_sides(t, lo, hi, row_tree, col_tree, k, pool, out);
     }
-    return pyr;
   }
-  // Tree-parallel path: the four trees are fully independent numerically, so
-  // each runs through a pure KernelLineFilter on the pool (no per-tree
-  // accounting, no nested parallelism). The real filter's accounting —
-  // including any accelerator-model state — is then replayed serially in the
-  // same tree order the serial path uses.
-  const simd::KernelSet& kernels = filter.kernels();
-  pool->parallel_for(0, 4, [&](int t0, int t1) {
-    KernelLineFilter pure(kernels);
-    for (int t = t0; t < t1; ++t) {
-      pyr.tree[t] = forward_tree(img, config, t >> 1, t & 1, pure);
-    }
-  });
-  for (int t = 0; t < 4; ++t) {
-    detail::account_forward_tree(img.rows(), img.cols(), config, t >> 1, t & 1,
-                                 filter);
+  for (int tree = 0; tree < 4; ++tree) {
+    detail::account_forward_tree(t, tree >> 1, tree & 1, filter);
   }
   return pyr;
 }
 
 ImageF inverse_dtcwt(const DtcwtPyramid& pyr, const TransformConfig& config,
                      LineFilter& filter) {
-  ThreadPool* pool = filter.pool();
-  if (pool == nullptr) {
-    ImageF acc;
-    for (int t = 0; t < 4; ++t) {
-      ImageF rec = inverse_tree(pyr.tree[t], config, t >> 1, t & 1, filter);
-      if (t == 0) {
-        acc = std::move(rec);
-      } else {
-        for (std::size_t i = 0; i < acc.size(); ++i) acc.data()[i] += rec.data()[i];
-      }
-    }
-    for (std::size_t i = 0; i < acc.size(); ++i) acc.data()[i] *= 0.25f;
-    return acc;
+  const TransformLevels t = levels_of(pyr.tree[0], config, "inverse_dtcwt");
+  for (int tree = 1; tree < 4; ++tree) {
+    check_pyramid(t, pyr.tree[tree], "inverse_dtcwt");
   }
-  ImageF recs[4];
-  const simd::KernelSet& kernels = filter.kernels();
-  pool->parallel_for(0, 4, [&](int t0, int t1) {
-    KernelLineFilter pure(kernels);
-    for (int t = t0; t < t1; ++t) {
-      recs[t] = inverse_tree(pyr.tree[t], config, t >> 1, t & 1, pure);
-    }
-  });
-  for (int t = 0; t < 4; ++t) {
-    account_inverse_tree(pyr.tree[t], config, t >> 1, t & 1, filter);
-  }
-  // Combine in the serial path's exact order (float summation order matters
-  // for bit-identity).
-  ImageF acc = std::move(recs[0]);
-  for (int t = 1; t < 4; ++t) {
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      acc.data()[i] += recs[t].data()[i];
+  // The trees summed in tree order, then scaled (float summation order is
+  // part of the bit-identity contract).
+  ImageF acc;
+  for (int tree = 0; tree < 4; ++tree) {
+    ImageF rec = detail::inverse_tree_numerics(
+        t, pyr.tree[tree], tree >> 1, tree & 1, filter.kernels(), filter.pool());
+    if (tree == 0) {
+      acc = std::move(rec);
+    } else {
+      for (std::size_t i = 0; i < acc.size(); ++i) acc.data()[i] += rec.data()[i];
     }
   }
   for (std::size_t i = 0; i < acc.size(); ++i) acc.data()[i] *= 0.25f;
+  for (int tree = 0; tree < 4; ++tree) {
+    detail::account_inverse_tree(t, tree >> 1, tree & 1, filter);
+  }
   return acc;
 }
 

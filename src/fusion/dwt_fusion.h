@@ -114,9 +114,7 @@ class LineFilter {
 };
 
 // The host filter: numerics from one fixed KernelSet, an optional host pool,
-// and MAC/line statistics. The one-argument form is serial; the tree-
-// parallel paths of forward_dtcwt/inverse_dtcwt run each worker's numerics
-// through one (the real filter's accounting is replayed serially after).
+// and MAC/line statistics. The one-argument form is serial.
 class KernelLineFilter : public LineFilter {
  public:
   explicit KernelLineFilter(const simd::KernelSet& kernels) : kernels_(&kernels) {}
@@ -152,20 +150,16 @@ class SimdLineFilter : public KernelLineFilter {
 
 // --- 2-D multi-level transform ----------------------------------------------
 
-// There is one host implementation per entry point. fuse_frames and the
-// timed runners always run the band-streaming plan (src/fusion/fused_plan.h):
-// the two frames' transforms interleaved band by band, each band consumed by
-// the magnitude/select rule while hot in cache, fused bands streamed
-// straight into inverse synthesis. The standalone transforms below
-// (forward_tree/inverse_tree, forward_dtcwt/inverse_dtcwt, and through them
-// the DWT baseline fuse_frames_dwt) run the staged tiled path: per-thread
-// arena scratch (src/common/arena.h), run-based periodic extension, and a
-// cache-blocked transpose so the column pass filters contiguous rows through
-// the multi-line kernels (KernelSet::analyze_ml/synthesize_ml, up to
-// simd::kMaxLinesPerCall lines per dispatch). Both feed every line the same
-// extended samples through the same per-line kernel arithmetic and replay
-// the same account_*/barrier() sequence; tests/dtcwt_oracle.h is the scalar
-// reference both must match bit for bit.
+// Every transform runs on one engine: the lane-interleaved passes in
+// detail:: below, which fuse_frames and the timed runners drive through the
+// band-streaming plan (src/fusion/fused_plan.h) and the standalone entry
+// points (forward_tree/inverse_tree, forward_dtcwt/inverse_dtcwt, and
+// through them the DWT baseline fuse_frames_dwt) drive one tree pair or one
+// tree at a time. Each entry point runs its numerics first, pool-parallel
+// over blocks of lines, and then replays the account_*/barrier() sequence
+// serially, so modeled output is bit-identical at any thread count;
+// tests/dtcwt_oracle.h is the scalar reference every path must match bit
+// for bit.
 //
 // Read-only and constant: host_layout() is always kFused and its name
 // "fused". They exist only because perfbench/main.cpp prints them.
@@ -193,23 +187,23 @@ struct TreePyramid {
 
 // `row_tree`/`col_tree`: 0 = tree A, 1 = tree B (one-sample level-1 delay +
 // reversed q-shift filters at levels >= 2) applied along that dimension.
-// When `filter` has a pool, the per-row/per-column numeric loops fan out
-// over it (accounting replayed serially per pass).
+// Both abort (in every build type) on an empty image or fewer than one
+// level; inverse_tree also on a pyramid that is not a config.levels-level
+// transform of its levels[0].in_rows x in_cols input.
 TreePyramid forward_tree(const image::ImageF& img, const TransformConfig& config,
                          int row_tree, int col_tree, LineFilter& filter);
 image::ImageF inverse_tree(const TreePyramid& pyr, const TransformConfig& config,
                            int row_tree, int col_tree, LineFilter& filter);
 
 // The full 4x-redundant 2-D DT-CWT: trees indexed by (row_tree, col_tree) in
-// {A,B}^2, i.e. tree[0]=AA, tree[1]=AB, tree[2]=BA, tree[3]=BB.
+// {A,B}^2, i.e. tree[0]=AA, tree[1]=AB, tree[2]=BA, tree[3]=BB. The forward
+// filters trees (0,3) and (1,2) as the two sides of each lane call; the
+// filter's accounting is replayed in tree order. Same checks as above, on
+// every tree of the inverse's pyramid.
 struct DtcwtPyramid {
   TreePyramid tree[4];
 };
 
-// When `filter` has a pool, the four independent trees run their numerics
-// in parallel (through a serial KernelLineFilter each) and the filter's
-// account_*/barrier() sequence is replayed serially in tree order — modeled
-// time is bit-identical to the serial path at any thread count.
 DtcwtPyramid forward_dtcwt(const image::ImageF& img, const TransformConfig& config,
                            LineFilter& filter);
 // Averages the four trees' reconstructions.
@@ -217,40 +211,97 @@ image::ImageF inverse_dtcwt(const DtcwtPyramid& pyr, const TransformConfig& conf
                             LineFilter& filter);
 
 // --- shared transform internals ---------------------------------------------
-// Shared by the tiled transforms and the band-streaming fused plan
-// (src/fusion/fused_plan.cpp), which must produce the same per-line inputs
-// and the same account_*/barrier() sequence.
+// The one transform engine, shared by the standalone transforms above, the
+// DWT baseline (src/fusion/fuse.cpp) and the band-streaming fused plan
+// (src/fusion/fused_plan.cpp).
 namespace detail {
 
 // The bank a given tree applies at a given level (tree B = one-sample delay
 // at level 1, reversed q-shift at levels >= 2).
 FilterBank bank_for_level(const TransformConfig& config, int level, int tree);
 
-// Run-based periodic extension of one analysis line (ext needs
-// n + bank.taps() floats).
-void fill_analysis_ext(const FilterBank& bank, const float* x, int n, float* ext);
+// The DT-CWT trees filtered together as the two sides of a lane call,
+// kPairTree[pair][side]: trees (0,3) and (1,2), the complex pairs of the
+// fusion rule. Side s is row tree s; its column tree is s == 0 ? pair :
+// 1 - pair.
+inline constexpr int kPairTree[2][2] = {{0, 3}, {1, 2}};
 
-// Periodic extension of the interleaved lo/hi stream of one synthesis line
-// (n = 2 * pairs samples; ext needs n + bank.synth_taps() floats):
-// ext[k] = stream[(k - synthesis_offset) mod n], stream = lo[0], hi[0], ...
-void fill_synthesis_ext(const FilterBank& bank, const float* lo, const float* hi,
-                        int n, float* ext);
+// Geometry of one level of a transform.
+struct LevelDims {
+  int r, c;    // pre-padding input dims of this level
+  int rp, cp;  // padded (even) dims
+  int hr, hc;  // subband dims (rp/2, cp/2)
+  int lead;      // extended row-pass planes: row pass output starts here,
+  int ext_rows;  // rows in all, including the periodic extension;
+  int skip[2];   // first row the column bank of tree t reads
+};
 
-// Replay one tree's forward / inverse account_*/barrier() sequence for an
-// input of the given pre-padding dims — the exact sequence forward_tree /
-// inverse_tree emit, derived from shapes alone (accounting never reads
-// sample values). The first form builds the tree's banks; the others take
-// the per-level banks (row_banks[level] / col_banks[level], config.levels
-// each) from the caller — the fused plan replays twelve tree accountings per
-// frame pair, and rebuilding the banks dominated the replay cost.
-void account_forward_tree(int rows, int cols, const TransformConfig& config,
-                          int row_tree, int col_tree, LineFilter& f);
-void account_forward_tree(int rows, int cols, const TransformConfig& config,
-                          const FilterBank* row_banks,
-                          const FilterBank* col_banks, LineFilter& f);
-void account_inverse_tree(int rows, int cols, const TransformConfig& config,
-                          const FilterBank* row_banks,
-                          const FilterBank* col_banks, LineFilter& f);
+// Banks and level geometry of a config.levels-level transform of a
+// rows x cols frame. Aborts in every build type, naming `where`, on empty
+// dims, fewer than one level, or tree-A and tree-B banks of a level that
+// disagree on taps() or synth_taps() (one lane-interleaved call filters both
+// trees).
+struct TransformLevels {
+  TransformLevels(int rows, int cols, const TransformConfig& config,
+                  const char* where);
+  int levels() const { return static_cast<int>(dims.size()); }
+
+  std::vector<FilterBank> banks[2];  // [tree][level]; rows and columns alike
+  std::vector<LevelDims> dims;       // [level]
+};
+
+// Both sides' row pass of `level` (side s: the r x c plane src[s] at row
+// stride src_stride, row tree row_tree[s]), edge-replicated to rp x cp on
+// the fly, into extended row-pass planes lo[s]/hi[s] of ext_rows x hc, the
+// pass output at rows [lead, lead + rp).
+void forward_row_pass(const TransformLevels& t, int level,
+                      const float* const src[2], int src_stride,
+                      const int row_tree[2], const simd::KernelSet& k,
+                      ThreadPool* pool, float* const lo[2], float* const hi[2]);
+
+// Both sides' column analysis of `level` from forward_row_pass's planes
+// (side s: column tree col_tree[s]): lo[s] -> ll[s], lh[s] and hi[s] ->
+// hl[s], hh[s], each hr x hc at row stride `stride`.
+void analysis_col_pass(const TransformLevels& t, int level,
+                       const float* const lo[2], const float* const hi[2],
+                       const int col_tree[2], const simd::KernelSet& k,
+                       ThreadPool* pool, float* const ll[2], float* const lh[2],
+                       float* const hl[2], float* const hh[2], int stride);
+
+// Column synthesis of `level` with column tree col_tree: (ll, lh) -> rowlo
+// and (hl, hh) -> rowhi, each rp x hc; the band planes are read at row
+// stride `stride`.
+void synthesis_col_pass(const TransformLevels& t, int level, int col_tree,
+                        const float* ll, const float* lh, const float* hl,
+                        const float* hh, int stride, const simd::KernelSet& k,
+                        ThreadPool* pool, float* rowlo, float* rowhi);
+
+// Row synthesis of `level` with row tree row_tree: rowlo/rowhi (rp x hc)
+// into the level's input dims, r x c at row stride out_stride (the padding
+// is cropped).
+void synthesis_row_pass(const TransformLevels& t, int level, int row_tree,
+                        const float* rowlo, const float* rowhi,
+                        const simd::KernelSet& k, ThreadPool* pool, float* out,
+                        int out_stride);
+
+// Replay one tree's forward / inverse account_*/barrier() sequence — the
+// exact sequence a serial transform would interleave with its numerics,
+// derived from shapes alone (accounting never reads sample values).
+void account_forward_tree(const TransformLevels& t, int row_tree, int col_tree,
+                          LineFilter& f);
+void account_inverse_tree(const TransformLevels& t, int row_tree, int col_tree,
+                          LineFilter& f);
+
+// forward_tree's numerics for two frames at once, one per side of each lane
+// call (the DWT baseline's two inputs): no filter call.
+void forward_tree_pair(const TransformLevels& t, const image::ImageF& a,
+                       const image::ImageF& b, int row_tree, int col_tree,
+                       const simd::KernelSet& k, ThreadPool* pool,
+                       TreePyramid* pa, TreePyramid* pb);
+// inverse_tree's numerics (no filter call) for a pyramid whose dims match t.
+image::ImageF inverse_tree_numerics(const TransformLevels& t, const TreePyramid& pyr,
+                                    int row_tree, int col_tree,
+                                    const simd::KernelSet& k, ThreadPool* pool);
 
 }  // namespace detail
 

@@ -48,14 +48,17 @@ FusionOutcome fuse_frames_with_quality(const image::ImageF& a, const image::Imag
 image::ImageF fuse_frames_dwt(const image::ImageF& a, const image::ImageF& b,
                               const DwtFuseConfig& config, dwt::LineFilter& filter) {
   require_frame_pair(a, b, "fuse_frames_dwt");
+  const dwt::detail::TransformLevels t(a.rows(), a.cols(), config.transform,
+                                       "fuse_frames_dwt");
   const simd::KernelSet& k = filter.kernels();
-  dwt::TreePyramid pa = dwt::forward_tree(a, config.transform, 0, 0, filter);
-  dwt::TreePyramid pb = dwt::forward_tree(b, config.transform, 0, 0, filter);
+  // Numerics first: both frames' trees as the two sides of each lane call.
+  dwt::TreePyramid pa, pb;
+  dwt::detail::forward_tree_pair(t, a, b, 0, 0, k, filter.pool(), &pa, &pb);
   dwt::TreePyramid fused;
-  const int levels = static_cast<int>(pa.levels.size());
+  const int levels = t.levels();
   fused.levels.resize(levels);
   // Scratch sized for the largest (level-1) subband, reused across bands.
-  const std::size_t max_n = levels > 0 ? pa.levels[0].lh.size() : 0;
+  const std::size_t max_n = pa.levels[0].lh.size();
   const std::vector<float> zeros(max_n, 0.0f);
   std::vector<float> mag_a(max_n), mag_b(max_n), out_im(max_n);
   for (int lv = 0; lv < levels; ++lv) {
@@ -67,21 +70,32 @@ image::ImageF fuse_frames_dwt(const image::ImageF& a, const image::ImageF& b,
       const int n = static_cast<int>(ba.size());
       // Real coefficients: magnitude of (c, 0) is |c|.
       k.magnitude(ba.data(), zeros.data(), n, mag_a.data());
-      filter.account_magnitude(n);
       k.magnitude(bb.data(), zeros.data(), n, mag_b.data());
-      filter.account_magnitude(n);
       ImageF& out = band(fused.levels[lv], sb);
       out = ImageF(ba.rows(), ba.cols());
       k.select(ba.data(), zeros.data(), bb.data(), zeros.data(), mag_a.data(),
                mag_b.data(), n, out.data(), out_im.data());
-      filter.account_select(n);
     }
   }
   // Lowpass residue: not time-accounted (no backend ever charged for it).
   fused.ll = ImageF(pa.ll.rows(), pa.ll.cols());
   k.average(pa.ll.data(), pb.ll.data(), static_cast<int>(pa.ll.size()),
             fused.ll.data());
-  return dwt::inverse_tree(fused, config.transform, 0, 0, filter);
+  ImageF out = dwt::detail::inverse_tree_numerics(t, fused, 0, 0, k, filter.pool());
+
+  // Then the serial accounting replay, in the staged call order.
+  for (int frame = 0; frame < 2; ++frame) {
+    dwt::detail::account_forward_tree(t, 0, 0, filter);
+  }
+  for (const dwt::detail::LevelDims& d : t.dims) {
+    for (int sb = 0; sb < 3; ++sb) {
+      filter.account_magnitude(d.hr * d.hc);
+      filter.account_magnitude(d.hr * d.hc);
+      filter.account_select(d.hr * d.hc);
+    }
+  }
+  dwt::detail::account_inverse_tree(t, 0, 0, filter);
+  return out;
 }
 
 }  // namespace vf::fusion

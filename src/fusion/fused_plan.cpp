@@ -16,47 +16,13 @@ using image::ImageF;
 
 constexpr int kLineBlock = simd::kMaxLinesPerCall;
 
-// Input bytes a column-pass strip targets (see LevelDims::strip): small
-// frames run as one strip; large ones walk the planes in strips that stay
-// cache-resident while every column block of the strip consumes them.
+// Input bytes a column-pass strip targets (see strip_): small frames run as
+// one strip; large ones walk the planes in strips that stay cache-resident
+// while every column block of the strip consumes them.
 constexpr int kStripBytes = 256 * 1024;
-
-// tree(pair, side): trees (0,3) form the first complex pair, (1,2) the
-// second; within a pair the re side is row-tree A and the im side row-tree B
-// (see fuse.cpp). col_tree(pair, side) = side == 0 ? pair : 1 - pair.
-constexpr int kPairRe[2] = {0, 1};
-constexpr int kPairIm[2] = {3, 2};
-
-// Edge-replicating pad of an rows x cols frame into rp x cp (rp, cp each at
-// most one larger) — the same pad_even semantics as the tiled transforms.
-void pad_raw(const float* src, int rows, int cols, int rp, int cp, float* out) {
-  for (int r = 0; r < rp; ++r) {
-    const float* s = src + static_cast<size_t>(r < rows ? r : rows - 1) * cols;
-    float* d = out + static_cast<size_t>(r) * cp;
-    std::memcpy(d, s, static_cast<size_t>(cols) * sizeof(float));
-    if (cp > cols) d[cols] = s[cols - 1];
-  }
-}
 
 // Blocks of kLineBlock columns covering n columns (the last may be partial).
 int blocks_of(int n) { return (n + kLineBlock - 1) / kLineBlock; }
-
-// Pads the r x c top-left of an rp x cp plane (stride cp, rp/cp each at most
-// one larger) in place by edge replication — pad_raw's semantics without the
-// copy.
-void pad_in_place(float* plane, int r, int c, int rp, int cp) {
-  if (cp > c) {
-    for (int i = 0; i < r; ++i) {
-      float* row = plane + static_cast<size_t>(i) * cp;
-      row[c] = row[c - 1];
-    }
-  }
-  if (rp > r) {
-    std::memcpy(plane + static_cast<size_t>(r) * cp,
-                plane + static_cast<size_t>(r - 1) * cp,
-                static_cast<size_t>(cp) * sizeof(float));
-  }
-}
 
 // Copies rows x nb floats between planes of strides src_stride/dst_stride.
 void copy_rows(const float* src, int src_stride, int rows, int nb, float* dst,
@@ -72,197 +38,19 @@ void copy_rows(const float* src, int src_stride, int rows, int nb, float* dst,
   }
 }
 
-// Completes an extended plane in place: rows [lead, lead + n) hold n rows
-// of `width` floats; every other row j of the ext_rows is row
-// (j - lead) mod n of those — the periodic extension of all its columns at
-// once, so a filter walking the rows reads it at the plane stride with no
-// gather.
-void extend_rows(float* plane, int width, int lead, int n, int ext_rows) {
-  const size_t bytes = static_cast<size_t>(width) * sizeof(float);
-  for (int j = 0; j < ext_rows; ++j) {
-    if (j >= lead && j < lead + n) continue;
-    const int src = lead + ((j - lead) % n + n) % n;
-    std::memcpy(plane + static_cast<size_t>(j) * width,
-                plane + static_cast<size_t>(src) * width, bytes);
-  }
-}
-
-// Where two banks' periodic extensions ext_t[k] = x[(k - E_t) mod n] of one
-// n-row extended plane start: bank t reads ext_t[k] as plane row
-// k + skip[t] of a plane whose rows [lead, lead + n) hold x. lead = the
-// largest E_t mod n keeps every skip non-negative; `rows` covers both
-// banks' n + taps samples.
-struct PeriodicLayout {
-  int lead;
-  int skip[2];
-  int rows;
-};
-
-PeriodicLayout periodic_layout(int e0, int e1, int n, int taps) {
-  const int e[2] = {(e0 % n + n) % n, (e1 % n + n) % n};
-  PeriodicLayout w;
-  w.lead = std::max(e[0], e[1]);
-  for (int t = 0; t < 2; ++t) w.skip[t] = w.lead - e[t];
-  w.rows = std::max(n + taps + std::max(w.skip[0], w.skip[1]), w.lead + n);
-  return w;
-}
-
-// Forward row passes of both sides of a level (side s: source src[s], row
-// bank bank[s]) into extended row-pass planes (ext_rows x hc), over slabs
-// of kLineBlock rows in the lane layout — lane l of a slab is image row
-// r + l. The source rows are transposed into the slab and its periodic
-// extension completed as whole rows; one analyze_mag_ml call then filters
-// both sides (re = side 0, im = side 1, no magnitudes), reading one shared
-// slab when the sides share a source (level 0). The four lane outputs are
-// transposed into rows [lead, lead + rp), and extend_rows completes the
-// periodic extension around them.
-void forward_row_pass(const float* const src[2], int rp, int cp, int hc,
-                      int lead, int ext_rows, const FilterBank* const bank[2],
-                      const simd::KernelSet& k, ThreadPool* pool,
-                      float* const lo[2], float* const hi[2]) {
-  const int taps = bank[0]->taps();
-  const PeriodicLayout w = periodic_layout(
-      bank[0]->analysis_offset, bank[1]->analysis_offset, cp, taps);
-  const int sources = src[0] == src[1] ? 1 : 2;
-  float* const dst[4] = {lo[0], hi[0], lo[1], hi[1]};
-  auto block = [&](int b0, int b1) {
-    ArenaScope scratch;
-    float* slab[2] = {};
-    for (int s = 0; s < sources; ++s) {
-      slab[s] = scratch.alloc(static_cast<size_t>(w.rows) * kLineBlock);
-    }
-    if (sources == 1) slab[1] = slab[0];
-    float* out[4] = {};
-    for (float*& o : out) o = scratch.alloc(static_cast<size_t>(hc) * kLineBlock);
-    for (int b = b0; b < b1; ++b) {
-      const int r = b * kLineBlock;
-      const int nb = std::min(kLineBlock, rp - r);
-      for (int s = 0; s < sources; ++s) {
-        simd::transpose_f32(src[s] + static_cast<size_t>(r) * cp, nb, cp, cp,
-                            slab[s] + static_cast<size_t>(w.lead) * kLineBlock,
-                            kLineBlock);
-        extend_rows(slab[s], kLineBlock, w.lead, cp, w.rows);
-      }
-      k.analyze_mag_ml(slab[0] + static_cast<size_t>(w.skip[0]) * kLineBlock,
-                       slab[1] + static_cast<size_t>(w.skip[1]) * kLineBlock,
-                       kLineBlock, nb, hc, bank[0]->lp.data(), bank[0]->hp.data(),
-                       bank[1]->lp.data(), bank[1]->hp.data(), taps, out[0],
-                       out[1], out[2], out[3], nullptr, nullptr, kLineBlock);
-      for (int q = 0; q < 4; ++q) {
-        simd::transpose_f32(out[q], hc, nb, kLineBlock,
-                            dst[q] + static_cast<size_t>(lead + r) * hc, hc);
-      }
-    }
-  };
-  parallel_chunks(pool, 0, blocks_of(rp), block);
-  for (float* plane : dst) extend_rows(plane, hc, lead, rp, ext_rows);
-}
-
-// Row synthesis of the rp rows of rowlo/rowhi (rp x hc) into `padded`
-// (rp x 2 hc), over the same kLineBlock-row slabs: both inputs are
-// transposed into lane slabs, select_synth_ml with every *_b null builds
-// each lane's wrap fill and runs the interleaved synthesis, and the
-// 2 hc x kLineBlock result is transposed back.
-void synthesis_row_pass(const float* rowlo, const float* rowhi, int rp, int hc,
-                        const FilterBank& bank, const simd::KernelSet& k,
-                        ThreadPool* pool, float* padded) {
-  const int cp = 2 * hc;
-  auto block = [&](int b0, int b1) {
-    ArenaScope scratch;
-    float* lo = scratch.alloc(static_cast<size_t>(hc) * kLineBlock);
-    float* hi = scratch.alloc(static_cast<size_t>(hc) * kLineBlock);
-    float* out = scratch.alloc(static_cast<size_t>(cp) * kLineBlock);
-    for (int b = b0; b < b1; ++b) {
-      const int r = b * kLineBlock;
-      const int nb = std::min(kLineBlock, rp - r);
-      simd::transpose_f32(rowlo + static_cast<size_t>(r) * hc, nb, hc, hc, lo,
-                          kLineBlock);
-      simd::transpose_f32(rowhi + static_cast<size_t>(r) * hc, nb, hc, hc, hi,
-                          kLineBlock);
-      k.select_synth_ml(lo, nullptr, nullptr, nullptr, hi, nullptr, nullptr,
-                        nullptr, kLineBlock, nb, hc, bank.ca.data(),
-                        bank.cb.data(), bank.synth_taps(), bank.synthesis_offset,
-                        out, kLineBlock);
-      simd::transpose_f32(out, cp, nb, kLineBlock,
-                          padded + static_cast<size_t>(r) * cp, cp);
-    }
-  };
-  parallel_chunks(pool, 0, blocks_of(rp), block);
-}
-
 }  // namespace
 
 FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
-    : rows_(rows), cols_(cols), config_(config) {
-  if (rows < 1 || cols < 1 || config.levels < 1) {
-    std::fprintf(stderr, "fatal: FusionPlan(%dx%d, %d levels)\n", rows, cols,
-                 config.levels);
-    std::abort();
-  }
-  int r = rows, c = cols;
-  dims_.reserve(config.levels);
-  for (int level = 0; level < config.levels; ++level) {
-    LevelDims d;
-    d.r = r;
-    d.c = c;
-    d.rp = r + (r & 1);
-    d.cp = c + (c & 1);
-    d.hr = d.rp / 2;
-    d.hc = d.cp / 2;
-    d.bs = d.hc;
-    dims_.push_back(d);
-    r = d.hr;
-    c = d.hc;
-  }
-  // Band planes above the deepest level take the next level's padded width
-  // as their row stride, so the lowpass plane is padded in place and the
-  // inverse reads the next level's reconstruction at the bands' stride.
-  for (int level = 0; level + 1 < config.levels; ++level) {
-    dims_[level].bs = dims_[level + 1].cp;
-  }
-  for (int tree = 0; tree < 2; ++tree) {
-    row_banks_[tree].reserve(config.levels);
-    col_banks_[tree].reserve(config.levels);
-    for (int level = 0; level < config.levels; ++level) {
-      row_banks_[tree].push_back(detail::bank_for_level(config_, level, tree));
-      col_banks_[tree].push_back(detail::bank_for_level(config_, level, tree));
-    }
-  }
-  // One lane-interleaved call filters both trees with one tap count (the
-  // row passes' analyze_mag_ml, the column passes'), and select_synth_ml
-  // interleaves one (ca, cb) pair per call. make_filter_bank guarantees the
-  // tree-A and tree-B banks agree on window widths by construction (the
-  // level-1 delay shifts both window ends; the q-shift reversal stays inside
-  // the same 14-tap window); a config that broke it must not run.
-  for (int level = 0; level < config.levels; ++level) {
-    for (const std::vector<FilterBank>* banks : {row_banks_, col_banks_}) {
-      const FilterBank& a = banks[0][level];
-      const FilterBank& b = banks[1][level];
-      if (a.taps() != b.taps() || a.synth_taps() != b.synth_taps()) {
-        std::fprintf(stderr,
-                     "fatal: FusionPlan level %d: tree banks disagree on "
-                     "taps (%d, %d) or synth_taps (%d, %d)\n",
-                     level, a.taps(), b.taps(), a.synth_taps(), b.synth_taps());
-        std::abort();
-      }
-    }
-  }
-  // Extended row-pass planes (extend_rows): the column bank of tree t reads
-  // its extension ext[k] = x[(k - E_t) mod rp] as plane row k + skip[t].
-  for (int level = 0; level < config.levels; ++level) {
-    LevelDims& d = dims_[level];
-    const int taps = col_banks_[0][level].taps();
-    const PeriodicLayout w =
-        periodic_layout(col_banks_[0][level].analysis_offset,
-                        col_banks_[1][level].analysis_offset, d.rp, taps);
-    d.lead = w.lead;
-    d.skip[0] = w.skip[0];
-    d.skip[1] = w.skip[1];
-    d.ext_rows = w.rows;
+    : t_(rows, cols, config, "FusionPlan") {
+  const int D = t_.levels();
+  for (int level = 0; level < D; ++level) {
+    const detail::LevelDims& d = t_.dims[level];
+    bs_.push_back(level + 1 < D ? t_.dims[level + 1].cp : d.hc);
     // Output rows per strip of the column pass: a strip's input rows of the
     // eight extended planes (2 frames x lo/hi x re/im) stay near kStripBytes.
     const int per_row = 8 * d.hc * static_cast<int>(sizeof(float));
-    d.strip = std::clamp((kStripBytes / per_row - taps) / 2, 1, d.hr);
+    const int taps = t_.banks[0][level].taps();
+    strip_.push_back(std::clamp((kStripBytes / per_row - taps) / 2, 1, d.hr));
   }
 }
 
@@ -270,38 +58,28 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
                        const StageHooks& hooks) const {
   // Always-on: the CMake default is Release, where an assert would let a
   // frame smaller than the plan read out of bounds.
-  if (a.rows() != rows_ || a.cols() != cols_ || b.rows() != rows_ ||
-      b.cols() != cols_) {
+  const int rows = t_.dims[0].r, cols = t_.dims[0].c;
+  if (a.rows() != rows || a.cols() != cols || b.rows() != rows ||
+      b.cols() != cols) {
     std::fprintf(stderr, "fatal: FusionPlan::run(%dx%d, %dx%d) on a %dx%d plan\n",
-                 a.rows(), a.cols(), b.rows(), b.cols(), rows_, cols_);
+                 a.rows(), a.cols(), b.rows(), b.cols(), rows, cols);
     std::abort();
   }
 
   const simd::KernelSet& k = f.kernels();
   ThreadPool* pool = f.pool();
-  const int D = config_.levels;
+  const int D = t_.levels();
   const int DL = D - 1;  // deepest level index
-  const LevelDims& d0 = dims_[0];
+  const detail::LevelDims& d0 = t_.dims[0];
+  const int row_tree[2] = {0, 1};
 
   ArenaScope outer;
 
-  // Padded inputs, shared by every tree of both frames.
-  const float* in[2] = {a.data(), b.data()};
-  for (int x = 0; x < 2; ++x) {
-    if (rows_ != d0.rp || cols_ != d0.cp) {
-      float* p = outer.alloc(static_cast<size_t>(d0.rp) * d0.cp);
-      pad_raw(in[x], rows_, cols_, d0.rp, d0.cp, p);
-      in[x] = p;
-    }
-  }
-
   // Level-0 row passes, shared across the two complex pairs: in both pairs
-  // the re side is row-tree A and the im side row-tree B, so one pass per
-  // frame (both sides from one slab) covers all eight (frame x tree)
-  // level-0 row transforms of a staged fusion. Their outputs are extended
-  // row-pass planes.
+  // side s is row tree s, so one pass per frame (both sides from one slab)
+  // covers all eight (frame x tree) level-0 row transforms of a staged
+  // fusion. Their outputs are extended row-pass planes.
   const size_t ext0 = static_cast<size_t>(d0.ext_rows) * d0.hc;
-  const FilterBank* const row_bank0[2] = {&row_banks_[0][0], &row_banks_[1][0]};
   float* row0lo[2][2];
   float* row0hi[2][2];
   for (int x = 0; x < 2; ++x) {
@@ -309,16 +87,17 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
       row0lo[x][s] = outer.alloc(ext0);
       row0hi[x][s] = outer.alloc(ext0);
     }
-    const float* const src[2] = {in[x], in[x]};
-    forward_row_pass(src, d0.rp, d0.cp, d0.hc, d0.lead, d0.ext_rows, row_bank0, k,
-                     pool, row0lo[x], row0hi[x]);
+    const float* frame = (x == 0 ? a : b).data();
+    const float* const src[2] = {frame, frame};
+    detail::forward_row_pass(t_, 0, src, cols, row_tree, k, pool, row0lo[x],
+                             row0hi[x]);
   }
 
   // Per-tree reconstructions, combined at the end in tree order (the staged
   // inverse_dtcwt accumulation order).
   float* recon[4];
   for (int t = 0; t < 4; ++t) {
-    recon[t] = outer.alloc(static_cast<size_t>(rows_) * cols_);
+    recon[t] = outer.alloc(static_cast<size_t>(rows) * cols);
   }
 
   for (int p = 0; p < 2; ++p) {
@@ -332,7 +111,7 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
       return fused_bands[(static_cast<size_t>(L) * 3 + sb) * 2 + s];
     };
     for (int L = 0; L < DL; ++L) {
-      const size_t q = static_cast<size_t>(dims_[L].hr) * dims_[L].bs;
+      const size_t q = static_cast<size_t>(t_.dims[L].hr) * bs_[L];
       for (int sb = 0; sb < 3; ++sb) {
         for (int s = 0; s < 2; ++s) fused_at(L, sb, s) = pair.alloc(q);
       }
@@ -340,8 +119,7 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
     // At the deepest level both frames' candidate bands and their magnitudes
     // are kept so the select rule can run fused into the inverse synthesis
     // read. deep_band[sb][side][frame]; deep_mag[sb][frame].
-    const LevelDims& dd = dims_[DL];
-    const size_t qd = static_cast<size_t>(dd.hr) * dd.bs;
+    const size_t qd = static_cast<size_t>(t_.dims[DL].hr) * bs_[DL];
     float* deep_band[3][2][2];
     float* deep_mag[3][2];
     for (int sb = 0; sb < 3; ++sb) {
@@ -355,16 +133,17 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
     // --- forward: both frames interleaved, band-by-band -----------------
     const float* cur[2][2] = {{nullptr, nullptr}, {nullptr, nullptr}};
     for (int L = 0; L < D; ++L) {
-      const LevelDims& dl = dims_[L];
+      const detail::LevelDims& dl = t_.dims[L];
+      const int bs = bs_[L];
+      const int strip = strip_[L];
       const bool deep = L == DL;
 
-      // Lowpass planes (hr x bs). Above the deepest level they are the next
-      // level's input and get one spare row for its even padding.
-      const int ll_rows = deep ? dl.hr : dims_[L + 1].rp;
+      // Lowpass planes (hr x bs); above the deepest level, the next level's
+      // input.
       float* ll[2][2];
       for (int x = 0; x < 2; ++x) {
         for (int s = 0; s < 2; ++s) {
-          ll[x][s] = pair.alloc(static_cast<size_t>(ll_rows) * dl.bs);
+          ll[x][s] = pair.alloc(static_cast<size_t>(dl.hr) * bs);
         }
       }
 
@@ -374,7 +153,6 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
         // Row passes (level 0's were shared and precomputed above).
         float* rowlo[2][2];
         float* rowhi[2][2];
-        const FilterBank* const row_bank[2] = {&row_banks_[0][L], &row_banks_[1][L]};
         for (int x = 0; x < 2; ++x) {
           if (L == 0) {
             for (int s = 0; s < 2; ++s) {
@@ -387,8 +165,8 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
             rowlo[x][s] = level.alloc(static_cast<size_t>(dl.ext_rows) * dl.hc);
             rowhi[x][s] = level.alloc(static_cast<size_t>(dl.ext_rows) * dl.hc);
           }
-          forward_row_pass(cur[x], dl.rp, dl.cp, dl.hc, dl.lead, dl.ext_rows,
-                           row_bank, k, pool, rowlo[x], rowhi[x]);
+          detail::forward_row_pass(t_, L, cur[x], bs_[L - 1], row_tree, k, pool,
+                                   rowlo[x], rowhi[x]);
         }
 
         // Column pass, lane-interleaved: one work item is one strip of
@@ -396,12 +174,12 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
         // the extended planes. Analysis + magnitude fused per frame, then —
         // above the deepest level — the select rule while the block's bands
         // are hot.
-        const FilterBank& cb0 = col_banks_[col_tree[0]][L];
-        const FilterBank& cb1 = col_banks_[col_tree[1]][L];
+        const FilterBank& cb0 = t_.banks[col_tree[0]][L];
+        const FilterBank& cb1 = t_.banks[col_tree[1]][L];
         const int skip0 = dl.skip[col_tree[0]];
         const int skip1 = dl.skip[col_tree[1]];
         const int nblocks = blocks_of(dl.hc);
-        const size_t blk_size = static_cast<size_t>(dl.strip) * kLineBlock;
+        const size_t blk_size = static_cast<size_t>(strip) * kLineBlock;
         auto col_items = [&](int w0, int w1) {
           ArenaScope scratch;
           // Block-local planes (strip x kLineBlock) for the in-cache select
@@ -423,11 +201,11 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
             }
           }
           for (int w = w0; w < w1; ++w) {
-            const int i0 = (w / nblocks) * dl.strip;
-            const int ns = std::min(dl.strip, dl.hr - i0);
+            const int i0 = (w / nblocks) * strip;
+            const int ns = std::min(strip, dl.hr - i0);
             const int c = (w % nblocks) * kLineBlock;
             const int nb = std::min(kLineBlock, dl.hc - c);
-            const size_t o = static_cast<size_t>(i0) * dl.bs + c;
+            const size_t o = static_cast<size_t>(i0) * bs + c;
             const size_t in0 = static_cast<size_t>(skip0 + 2 * i0) * dl.hc + c;
             const size_t in1 = static_cast<size_t>(skip1 + 2 * i0) * dl.hc + c;
             for (int x = 0; x < 2; ++x) {
@@ -439,13 +217,13 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
                                  cb1.hp.data(), cb0.taps(), ll[x][0] + o,
                                  deep_band[0][0][x] + o, ll[x][1] + o,
                                  deep_band[0][1][x] + o, nullptr,
-                                 deep_mag[0][x] + o, dl.bs);
+                                 deep_mag[0][x] + o, bs);
                 k.analyze_mag_ml(rowhi[x][0] + in0, rowhi[x][1] + in1, dl.hc, nb,
                                  ns, cb0.lp.data(), cb0.hp.data(), cb1.lp.data(),
                                  cb1.hp.data(), cb0.taps(), deep_band[1][0][x] + o,
                                  deep_band[2][0][x] + o, deep_band[1][1][x] + o,
                                  deep_band[2][1][x] + o, deep_mag[1][x] + o,
-                                 deep_mag[2][x] + o, dl.bs);
+                                 deep_mag[2][x] + o, bs);
                 continue;
               }
               k.analyze_mag_ml(rowlo[x][0] + in0, rowlo[x][1] + in1, dl.hc, nb, ns,
@@ -459,7 +237,7 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
                                blk[x][2][0], blk[x][1][1], blk[x][2][1],
                                blk[x][1][2], blk[x][2][2], kLineBlock);
               for (int s = 0; s < 2; ++s) {
-                copy_rows(ll_blk[s], kLineBlock, ns, nb, ll[x][s] + o, dl.bs);
+                copy_rows(ll_blk[s], kLineBlock, ns, nb, ll[x][s] + o, bs);
               }
             }
             if (deep) continue;
@@ -473,23 +251,18 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
                           blk[1][sb][1], blk[0][sb][2], blk[1][sb][2], lines, len,
                           kLineBlock, sel[0], sel[1], kLineBlock);
               for (int s = 0; s < 2; ++s) {
-                copy_rows(sel[s], kLineBlock, ns, nb, fused_at(L, sb, s) + o, dl.bs);
+                copy_rows(sel[s], kLineBlock, ns, nb, fused_at(L, sb, s) + o, bs);
               }
             }
           }
         };
-        parallel_chunks(pool, 0, (dl.hr + dl.strip - 1) / dl.strip * nblocks, col_items);
+        parallel_chunks(pool, 0, (dl.hr + strip - 1) / strip * nblocks, col_items);
       }  // transient level scope
 
-      if (!deep) {
-        const LevelDims& dn = dims_[L + 1];
-        for (int x = 0; x < 2; ++x) {
-          for (int s = 0; s < 2; ++s) {
-            pad_in_place(ll[x][s], dn.r, dn.c, dn.rp, dn.cp);
-            cur[x][s] = ll[x][s];
-          }
-        }
-      } else {
+      for (int x = 0; x < 2; ++x) {
+        for (int s = 0; s < 2; ++s) cur[x][s] = ll[x][s];
+      }
+      if (deep) {
         // Lowpass residue fusion (not time-accounted, matching average()).
         for (int s = 0; s < 2; ++s) {
           k.average(ll[0][s], ll[1][s], static_cast<int>(qd), ll_fused[s]);
@@ -500,77 +273,63 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
     // --- inverse: fused bands stream straight into synthesis ------------
     for (int s = 0; s < 2; ++s) {
       // This level's lowpass input: the fused residue at the deepest level,
-      // above it the previous (deeper) level's reconstruction, read in place
-      // at stride bs — which is that reconstruction's padded width.
+      // above it the previous (deeper) level's reconstruction, written at
+      // stride bs — which is that reconstruction's padded width.
       const float* ll_in = ll_fused[s];
       for (int L = DL; L >= 0; --L) {
-        const LevelDims& dl = dims_[L];
-        const FilterBank& colb = col_banks_[col_tree[s]][L];
-        const FilterBank& rowb = row_banks_[s][L];
-        const int pairs = dl.hr;  // synthesis pairs per column line
+        const detail::LevelDims& dl = t_.dims[L];
+        const int bs = bs_[L];
         const size_t half = static_cast<size_t>(dl.rp) * dl.hc;
-
         float* rowlo = pair.alloc(half);
         float* rowhi = pair.alloc(half);
-        float* padded = pair.alloc(static_cast<size_t>(dl.rp) * dl.cp);
 
-        // Column synthesis, lane-interleaved straight into the row-major
-        // rowlo/rowhi planes; at the deepest level the select rule runs
-        // fused into the synthesis read of the candidate bands.
-        auto col_block = [&](int b0, int b1) {
-          for (int bi = b0; bi < b1; ++bi) {
-            const int c = bi * kLineBlock;
-            const int nb = std::min(kLineBlock, dl.hc - c);
-            if (L == DL) {
+        // Column synthesis into the row-major rowlo/rowhi planes; at the
+        // deepest level the select rule runs fused into the synthesis read
+        // of the candidate bands.
+        if (L == DL) {
+          const FilterBank& colb = t_.banks[col_tree[s]][L];
+          parallel_chunks(pool, 0, blocks_of(dl.hc), [&](int b0, int b1) {
+            for (int bi = b0; bi < b1; ++bi) {
+              const int c = bi * kLineBlock;
+              const int nb = std::min(kLineBlock, dl.hc - c);
               k.select_synth_ml(ll_in + c, nullptr, nullptr, nullptr,
                                 deep_band[0][s][0] + c, deep_band[0][s][1] + c,
-                                deep_mag[0][0] + c, deep_mag[0][1] + c, dl.bs, nb,
-                                pairs, colb.ca.data(), colb.cb.data(),
+                                deep_mag[0][0] + c, deep_mag[0][1] + c, bs, nb,
+                                dl.hr, colb.ca.data(), colb.cb.data(),
                                 colb.synth_taps(), colb.synthesis_offset,
                                 rowlo + c, dl.hc);
               k.select_synth_ml(deep_band[1][s][0] + c, deep_band[1][s][1] + c,
                                 deep_mag[1][0] + c, deep_mag[1][1] + c,
                                 deep_band[2][s][0] + c, deep_band[2][s][1] + c,
-                                deep_mag[2][0] + c, deep_mag[2][1] + c, dl.bs, nb,
-                                pairs, colb.ca.data(), colb.cb.data(),
-                                colb.synth_taps(), colb.synthesis_offset,
-                                rowhi + c, dl.hc);
-            } else {
-              k.select_synth_ml(ll_in + c, nullptr, nullptr, nullptr,
-                                fused_at(L, 0, s) + c, nullptr, nullptr, nullptr,
-                                dl.bs, nb, pairs, colb.ca.data(), colb.cb.data(),
-                                colb.synth_taps(), colb.synthesis_offset,
-                                rowlo + c, dl.hc);
-              k.select_synth_ml(fused_at(L, 1, s) + c, nullptr, nullptr, nullptr,
-                                fused_at(L, 2, s) + c, nullptr, nullptr, nullptr,
-                                dl.bs, nb, pairs, colb.ca.data(), colb.cb.data(),
+                                deep_mag[2][0] + c, deep_mag[2][1] + c, bs, nb,
+                                dl.hr, colb.ca.data(), colb.cb.data(),
                                 colb.synth_taps(), colb.synthesis_offset,
                                 rowhi + c, dl.hc);
             }
-          }
-        };
-        parallel_chunks(pool, 0, blocks_of(dl.hc), col_block);
-
-        // Row synthesis back to the padded plane of this level.
-        synthesis_row_pass(rowlo, rowhi, dl.rp, dl.hc, rowb, k, pool, padded);
-
-        if (L > 0) {
-          ll_in = padded;
+          });
         } else {
-          float* dst = recon[s == 0 ? kPairRe[p] : kPairIm[p]];
-          for (int r = 0; r < rows_; ++r) {
-            std::memcpy(dst + static_cast<size_t>(r) * cols_,
-                        padded + static_cast<size_t>(r) * dl.cp,
-                        static_cast<size_t>(cols_) * sizeof(float));
-          }
+          detail::synthesis_col_pass(t_, L, col_tree[s], ll_in, fused_at(L, 0, s),
+                                     fused_at(L, 1, s), fused_at(L, 2, s), bs, k,
+                                     pool, rowlo, rowhi);
         }
+
+        // Row synthesis, cropped to this level's input dims: at level 0
+        // straight into the tree's reconstruction.
+        float* rec = recon[detail::kPairTree[p][s]];
+        int rec_stride = cols;
+        if (L > 0) {
+          rec_stride = bs_[L - 1];
+          rec = pair.alloc(static_cast<size_t>(dl.r) * rec_stride);
+        }
+        detail::synthesis_row_pass(t_, L, s, rowlo, rowhi, k, pool, rec, rec_stride);
+        ll_in = rec;
       }
     }
   }  // pair scope
 
   // Combine the four trees in the staged accumulation order:
   // recs[0] += recs[1..3], then x 0.25f.
-  ImageF out(rows_, cols_);
+  ImageF out(rows, cols);
   float* acc = out.data();
   const size_t n = out.size();
   std::memcpy(acc, recon[0], n * sizeof(float));
@@ -583,47 +342,36 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
   // --- serial accounting replay, in the staged transforms' canonical order
   if (hooks.before_forward) hooks.before_forward();
   for (int x = 0; x < 2; ++x) {
-    for (int t = 0; t < 4; ++t) {
-      detail::account_forward_tree(rows_, cols_, config_,
-                                   row_banks_[t >> 1].data(),
-                                   col_banks_[t & 1].data(), f);
-    }
-    (void)x;
+    for (int t = 0; t < 4; ++t) detail::account_forward_tree(t_, t >> 1, t & 1, f);
   }
   if (hooks.before_fusion) hooks.before_fusion();
   for (int p = 0; p < 2; ++p) {
-    for (int L = 0; L < D; ++L) {
-      const int nb = dims_[L].hr * dims_[L].hc;
+    for (const detail::LevelDims& d : t_.dims) {
       for (int sb = 0; sb < 3; ++sb) {
-        f.account_magnitude(nb);
-        f.account_magnitude(nb);
-        f.account_select(nb);
+        f.account_magnitude(d.hr * d.hc);
+        f.account_magnitude(d.hr * d.hc);
+        f.account_select(d.hr * d.hc);
       }
     }
-    (void)p;
   }
   if (hooks.before_inverse) hooks.before_inverse();
-  for (int t = 0; t < 4; ++t) {
-    detail::account_inverse_tree(rows_, cols_, config_,
-                                 row_banks_[t >> 1].data(),
-                                 col_banks_[t & 1].data(), f);
-  }
+  for (int t = 0; t < 4; ++t) detail::account_inverse_tree(t_, t >> 1, t & 1, f);
   return out;
 }
 
 FusionPlan::Traffic FusionPlan::estimate_traffic() const {
   Traffic t;
-  const int D = config_.levels;
+  const int D = t_.levels();
   const int DL = D - 1;
   for (int L = 0; L < D; ++L) {
-    const LevelDims& d = dims_[L];
+    const detail::LevelDims& d = t_.dims[L];
     const double P = static_cast<double>(d.rp) * d.cp;  // padded plane elems
     const double Q = P / 4.0;                           // one band plane
     const double rc = static_cast<double>(d.r) * d.c;
-    const int row_taps = row_banks_[0][L].taps();
-    const int col_taps = col_banks_[0][L].taps();
-    const int row_staps = row_banks_[0][L].synth_taps();
-    const int col_staps = col_banks_[0][L].synth_taps();
+    const int row_taps = t_.banks[0][L].taps();
+    const int col_taps = row_taps;
+    const int row_staps = t_.banks[0][L].synth_taps();
+    const int col_staps = row_staps;
 
     // FLOPs are layout-independent: 2 per MAC over 8 forward and 4 inverse
     // tree-level transforms, plus the fusion rule (4 per magnitude element,
@@ -633,10 +381,11 @@ FusionPlan::Traffic FusionPlan::estimate_traffic() const {
     t.flops += 2.0 * 3.0 * (2.0 * 4.0 * Q + Q);
     if (L == DL) t.flops += 4.0 * 2.0 * Q;
 
-    // Staged (tiled transforms): per tree-level, forward = row pass (r+w) + transpose
-    // of both half-planes (r+w) + column pass (r+w) + transpose of the four
-    // quarter planes back (r+w) = 8P element moves; x8 trees. Inverse
-    // mirrors it with 4 transposes of quarter/half planes = 8P; x4 trees.
+    // Staged (transposing transforms): per tree-level, forward = row pass
+    // (r+w) + transpose of both half-planes (r+w) + column pass (r+w) +
+    // transpose of the four quarter planes back (r+w) = 8P element moves;
+    // x8 trees. Inverse mirrors it with 4 transposes of quarter/half planes
+    // = 8P; x4 trees.
     // Fusion: per band, two magnitude passes (2r+1w each over Q) and one
     // select (6r+2w over Q); x3 bands x2 pairs; + residue average x4 trees.
     double staged = 8.0 * 8.0 * P + 4.0 * 8.0 * P;

@@ -1,10 +1,12 @@
 // Band-streaming fused execution plan for the host fusion hot path.
 //
 // A staged fusion (forward_dtcwt of each frame, a magnitude/select pass,
-// inverse_dtcwt) runs four full-image passes and materializes two complete
-// DtcwtPyramids in between, so every band plane crosses DRAM several times. The paper's PL engine wins precisely by not doing that: it
-// streams lines through a fused analyze→fuse→synthesize datapath. FusionPlan
-// is the host-side equivalent:
+// inverse_dtcwt) materializes two complete DtcwtPyramids in between, so
+// every band plane crosses DRAM several times. The paper's PL engine wins
+// precisely by not doing that: it streams lines through a fused
+// analyze→fuse→synthesize datapath. FusionPlan is the host-side equivalent,
+// built on the same lane-interleaved passes as the standalone transforms
+// (dwt_fusion.h, detail::):
 //
 //   * the two frames' transforms run band-by-band, interleaved: level L of
 //     frame A and frame B are produced back-to-back (per kLineBlock column
@@ -14,20 +16,13 @@
 //     (KernelSet::analyze_mag_ml), and at the deepest level the select rule
 //     is deferred into the inverse synthesis read (select_synth_ml), so the
 //     pass count over band data drops from ~10 to ~3 per frame pair;
-//   * every plane stays row-major end to end, and every pass runs the
-//     lane-interleaved kernels (kernels.h) over blocks of kLineBlock lines:
-//     the column passes straight out of the row-major planes, reading each
-//     column's periodic extension from an extended row-pass plane (the row
-//     pass output with its wrapped rows copied above and below) and writing
-//     the row-major band planes; the row passes over 8-row slabs that
-//     transpose_f32 lays out in the lane layout and transposes back. The
-//     lowpass plane is padded in place for the next level, and the inverse
-//     reads the deeper level's reconstruction by stride;
+//   * the level-0 row passes are shared by both complex pairs, and the
+//     inverse reads each deeper level's reconstruction in place by stride;
 //   * all scratch comes from the per-thread arena.
 //
 // FusionPlan is the only implementation of fuse_frames and of the timed
 // runners' frame pair, for every KernelSet (float flavours and the fixed-
-// point datapath alike). Bit-identity with the staged transforms is by
+// point datapath alike). Bit-identity with a staged fusion is by
 // construction, not by tolerance: every line sees the same extended samples
 // and every output is computed in the scalar kernels' order (lane-
 // interleaved kernels vectorize across lines, not along them — see
@@ -64,6 +59,9 @@ class FusionPlan {
   // synth_taps() (one lane-interleaved call filters both trees).
   FusionPlan(int rows, int cols, const TransformConfig& config);
 
+  int rows() const { return t_.dims[0].r; }
+  int cols() const { return t_.dims[0].c; }
+
   // Fuse one frame pair. Numerics first (pool-parallel over line blocks when
   // the filter has a pool), then the serial accounting replay. Frames that
   // do not match the plan's dims abort with a message in every build type.
@@ -73,11 +71,12 @@ class FusionPlan {
   // Estimated DRAM traffic per frame pair, derived from the pass structure
   // (each plane-sized read/write a pass makes, x4 bytes; block scratch that
   // stays cache-resident is not charged). `staged_bytes` models a staged
-  // fusion over the tiled transforms, `fused_bytes` this plan; `flops` counts the transform MACs (x2)
+  // fusion whose transforms transpose every plane around their column
+  // passes; `fused_bytes` this plan; `flops` counts the transform MACs (x2)
   // plus the fusion-rule ops, for arithmetic-intensity reporting in
-  // bench_pipeline --json. `fused_bytes` still charges the plane transposes
-  // the plan ran before its column passes went lane-interleaved; it is kept
-  // as is so the drift-gated transform_traffic baseline does not move.
+  // bench_pipeline --json. Both byte models still charge plane transposes no
+  // host path runs any more; they are kept unchanged so the drift-gated
+  // transform_traffic baseline does not move.
   struct Traffic {
     double staged_bytes = 0.0;
     double fused_bytes = 0.0;
@@ -86,23 +85,11 @@ class FusionPlan {
   Traffic estimate_traffic() const;
 
  private:
-  struct LevelDims {
-    int r, c;    // pre-padding input dims of this level
-    int rp, cp;  // padded (even) dims
-    int hr, hc;  // subband dims (rp/2, cp/2)
-    int bs;      // row stride of the band planes: the next level's cp
-                 // (hc at the deepest level)
-    int lead;      // extended row-pass planes: row pass output starts here,
-    int ext_rows;  // rows in all, including the periodic extension;
-    int skip[2];   // first row the column bank of tree t reads
-    int strip;     // column-pass output rows per strip
-  };
-
-  int rows_ = 0, cols_ = 0;
-  TransformConfig config_;
-  std::vector<LevelDims> dims_;            // [level]
-  std::vector<FilterBank> row_banks_[2];   // [tree][level]
-  std::vector<FilterBank> col_banks_[2];   // [tree][level]
+  detail::TransformLevels t_;
+  // Per level: the row stride of the band planes (the next level's cp, so
+  // the inverse reads the deeper reconstruction at the bands' stride; hc at
+  // the deepest level), and the column-pass output rows per strip.
+  std::vector<int> bs_, strip_;
 };
 
 }  // namespace vf::dwt

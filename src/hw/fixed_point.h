@@ -23,11 +23,11 @@ struct FixedPointFormat {
 };
 
 // The fixed-point engine datapath as a simd::KernelSet flavour, so it runs
-// through every host path (the fused plan, the tiled transforms, the pool)
-// like the float flavours: per line, the input samples and the coefficients
-// are quantized to the format, products accumulate exactly in double (a
-// wide DSP48-style accumulator), and each output is quantized on its way
-// back to memory. The lane-interleaved analyze_mag_ml takes its magnitudes
+// through every host path (the fused plan, the standalone transforms, the
+// pool) like the float flavours: per line, the input samples and the
+// coefficients are quantized to the format, products accumulate exactly in
+// double (a wide DSP48-style accumulator), and each output is quantized on
+// its way back to memory. The lane-interleaved analyze_mag_ml takes its magnitudes
 // from the stored, quantized outputs. magnitude, select and average (and
 // their multi-line forms) are the scalar float kernels: the fusion rule runs
 // on the PS, not in the engine.

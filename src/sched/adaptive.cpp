@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "src/common/rng.h"
-#include "src/fusion/fused_plan.h"
 #include "src/hw/clock.h"
 #include "src/simd/kernels.h"
 
@@ -300,12 +299,15 @@ FrameRunResult TimedFusionRunner::run_frame_pair(const image::ImageF& visible,
   // Band-streaming plan: numerics run during kPrep (they make no backend
   // calls), then the accounting replay fires the phase transitions at their
   // points in the modeled call sequence.
-  const dwt::FusionPlan plan(visible.rows(), visible.cols(), config_.transform);
+  if (!plan_ || plan_->rows() != visible.rows() ||
+      plan_->cols() != visible.cols()) {
+    plan_.emplace(visible.rows(), visible.cols(), config_.transform);
+  }
   dwt::FusionPlan::StageHooks hooks;
   hooks.before_forward = [this] { backend_.set_phase(Phase::kForward); };
   hooks.before_fusion = [this] { backend_.set_phase(Phase::kFusion); };
   hooks.before_inverse = [this] { backend_.set_phase(Phase::kInverse); };
-  result.fused = plan.run(visible, thermal, backend_.line_filter(), hooks);
+  result.fused = plan_->run(visible, thermal, backend_.line_filter(), hooks);
   backend_.finish_frame();
   result.times = backend_.frame_times();
   result.pl_times = backend_.frame_pl_times();

@@ -10,12 +10,14 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/sim_time.h"
 #include "src/fusion/dwt_fusion.h"
 #include "src/fusion/fuse.h"
+#include "src/fusion/fused_plan.h"
 #include "src/hw/driver.h"
 #include "src/hw/resources.h"
 #include "src/image/metrics.h"
@@ -267,7 +269,8 @@ struct FrameRunResult {
 
 // Runs the full fusion pipeline on one backend, clocking each phase. Frame
 // pairs always run the band-streaming dwt::FusionPlan, so a transform with
-// fewer than one level aborts with a message in every build type.
+// fewer than one level aborts with a message in every build type. The plan
+// is kept across frame pairs and rebuilt only when the frame dims change.
 class TimedFusionRunner {
  public:
   explicit TimedFusionRunner(TransformBackend& backend,
@@ -280,6 +283,7 @@ class TimedFusionRunner {
  private:
   TransformBackend& backend_;
   fusion::FuseConfig config_;
+  std::optional<dwt::FusionPlan> plan_;
 };
 
 struct ProbeResult {

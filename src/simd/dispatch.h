@@ -13,8 +13,11 @@
 // fixed-point engine datapath built the same way (hw::fixed_point_kernels,
 // one set per Qm.n format); everything the transform executes — including
 // from thread-pool workers — goes through the set's function pointers. That
-// is how `--kernels` reaches every backend, and why no transform path needs
-// a per-filter branch.
+// is how `--kernels` reaches every backend, and why the transform engine
+// needs no per-filter branch: every transform pass runs the lane-
+// interleaved entries (analyze_mag_ml, select_synth_ml), the DWT baseline's
+// fusion rule the single-line magnitude/select, and the lowpass residue
+// average.
 #pragma once
 
 #include "src/simd/kernels.h"
@@ -33,9 +36,10 @@ struct KernelSet {
                  float* out_re, float* out_im);
   void (*average)(const float* a, const float* b, int n, float* out);
   // Multi-line forms (kernels.h): per line they run the exact single-line
-  // flavour above, so they inherit its bit-identity/1-ulp contract; the
-  // tiled DT-CWT host path (dwt_fusion.cpp) feeds them blocks of up to
-  // kMaxLinesPerCall lines.
+  // flavour above, so they inherit its bit-identity/1-ulp contract. No
+  // transform calls them (select_ml aside, the fused plan's in-cache
+  // select); they stay in the set because bench_kernels and
+  // perfbench/main.cpp measure them.
   void (*analyze_ml)(const float* x, int x_stride, int nlines, int out_len,
                      const float* lp, const float* hp, int taps, float* lo,
                      float* hi, int out_stride);
@@ -54,9 +58,9 @@ struct KernelSet {
   // kMaxLinesPerCall lines per call (image columns, or the image rows of a
   // transposed row-pass slab), sample j of line l at x[j * stride + l], only
   // the nlines live lanes read and stored. Each lane
-  // keeps the scalar kernels' per-output order, so the band-streaming plan
-  // (src/fusion/fused_plan.cpp) inherits the same bit-identity/1-ulp
-  // contract as the tiled transforms. nlines, out_len/pairs and taps mean what
+  // keeps the scalar kernels' per-output order, so every transform pass
+  // (dwt_fusion.cpp, fused_plan.cpp) inherits the single-line kernels'
+  // bit-identity/1-ulp contract. nlines, out_len/pairs and taps mean what
   // they mean for analyze_ml/synthesize_ml, so flop and line counts of a
   // call carry over.
   void (*analyze_mag_ml)(const float* x_re, const float* x_im, int x_stride,

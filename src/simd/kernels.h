@@ -88,12 +88,11 @@ void average_autovec(const float* a, const float* b, int n, float* out);
 // guarantee above carries over line by line. What a multi-line call buys is
 // host throughput: one dispatch-table indirection per 4-8 lines instead of
 // per line, scratch sizing amortized across the batch, and a contiguous walk
-// over a block of lines the caller laid out back-to-back. The tiled
-// transforms (dwt_fusion.cpp) run both passes through them — the cache-
-// blocked transpose lays the columns out as rows. The fused plan does not
-// call them: all its passes, row and column, run the lane-interleaved
-// kernels below. The fixed-point sets (hw::fixed_point_kernels) keep the
-// same per-line contract with their quantizing datapath. kMaxLinesPerCall
+// over a block of lines the caller laid out back-to-back. No transform
+// calls them (the fused plan's in-cache select_ml aside): every pass, row
+// and column, runs the lane-interleaved kernels below. The fixed-point sets
+// (hw::fixed_point_kernels) keep the same per-line contract with their
+// quantizing datapath. kMaxLinesPerCall
 // bounds the batch so a block of extended lines stays inside L1; it is also
 // the lane width of the lane-interleaved fused kernels below (one AVX2
 // register, two SSE2/NEON registers).
@@ -175,10 +174,9 @@ void select_by_magnitude_ml_autovec(const float* a_re, const float* a_im,
 //   select_synth_ml: per lane l: when the *_b inputs are non-null, half-
 //     select the lo (and independently the hi) stream by magnitude; build the
 //     periodic interleaved extension ext[k] = z[(k - synth_offset) mod
-//     2*pairs] of z = (lo[0], hi[0], lo[1], hi[1], ...) — the wrap fill of
-//     dwt_fusion.cpp's synthesis path; then the dual_corr ileave arithmetic
-//     into 2*pairs output samples. Null *_b means the stream is already
-//     fused and is taken verbatim.
+//     2*pairs] of z = (lo[0], hi[0], lo[1], hi[1], ...); then the dual_corr
+//     ileave arithmetic into 2*pairs output samples. Null *_b means the
+//     stream is already fused and is taken verbatim.
 //
 // The *_simd entry points run one template over an 8-lane vector type
 // (kernels.cpp, lane_kernels.inc), instantiated for portable code, SSE2 or
@@ -250,9 +248,8 @@ const LaneKernelVariant* lane_kernel_variants(int* count);
 // four 4x4 quads on SSE2/NEON and, on x86 hosts that support it, one 8x8
 // AVX2 transpose (target("avx2"), picked at first use like the lane
 // kernels). Exact data movement, so every instance gives the same bits.
-// This is what turns the DT-CWT column passes into contiguous row filtering
-// (dwt_fusion.cpp), and what lays 8 image rows out as the lane slabs of the
-// fused plan's row passes (fused_plan.cpp).
+// This is what lays 8 image rows out as the lane slabs of the transform
+// engine's row passes (dwt_fusion.cpp).
 void transpose_f32(const float* src, int rows, int cols, int src_stride,
                    float* dst, int dst_stride);
 

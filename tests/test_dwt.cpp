@@ -3,10 +3,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/fusion/dwt_fusion.h"
+#include "tests/dtcwt_oracle.h"
 
 namespace {
 
@@ -38,18 +40,12 @@ TEST(FilterBank, SingleLevelPerfectReconstruction1D) {
   for (dwt::Wavelet w : wavelets) {
     for (int delay : {0, 1}) {
       const dwt::FilterBank bank = dwt::make_filter_bank(w, delay);
-      const simd::KernelSet& k = simd::scalar_kernels();
       const int n = 64;
       Rng rng(42);
-      std::vector<float> x(n), lo(n / 2), hi(n / 2), y(n);
+      oracle::Line x(n), lo, hi;
       for (float& v : x) v = rng.next_float(-1.0f, 1.0f);
-      std::vector<float> ext(n + std::max(bank.taps(), bank.synth_taps()));
-      dwt::detail::fill_analysis_ext(bank, x.data(), n, ext.data());
-      k.analyze(ext.data(), n / 2, bank.lp.data(), bank.hp.data(), bank.taps(),
-                lo.data(), hi.data());
-      dwt::detail::fill_synthesis_ext(bank, lo.data(), hi.data(), n, ext.data());
-      k.synthesize(ext.data(), n / 2, bank.ca.data(), bank.cb.data(),
-                   bank.synth_taps(), y.data());
+      oracle::analyze(bank, x, &lo, &hi);
+      const oracle::Line y = oracle::synthesize(bank, lo, hi);
       for (int i = 0; i < n; ++i) {
         EXPECT_NEAR(x[i], y[i], 2e-5f)
             << dwt::wavelet_name(w) << " delay=" << delay << " i=" << i;
@@ -150,6 +146,61 @@ TEST(Dtcwt, SimdFilterMatchesScalarBitExactly) {
           << "tree " << t << " level " << lv;
     }
   }
+}
+
+// The CMake default is Release, so these checks must hold without assert:
+// a transform with fewer than one level, or an inverse handed a pyramid
+// whose level count or band dims break the halving chain from its level-0
+// input dims, would index past its planes.
+TEST(DtcwtDeathTest, RejectsBadLevelsAndPyramidsInEveryBuild) {
+  const ImageF img = random_image(20, 18, 3);
+  dwt::KernelLineFilter filter(simd::scalar_kernels());
+  for (int levels : {0, -1}) {
+    dwt::TransformConfig flat;
+    flat.levels = levels;
+    const std::string dims = "\\(20x18, " + std::to_string(levels) + " levels\\)";
+    EXPECT_DEATH(dwt::forward_tree(img, flat, 0, 0, filter), "forward_tree" + dims);
+    EXPECT_DEATH(dwt::forward_dtcwt(img, flat, filter), "forward_dtcwt" + dims);
+  }
+  EXPECT_DEATH(dwt::forward_tree(ImageF(), dwt::TransformConfig{}, 0, 0, filter),
+               "forward_tree\\(0x0, 3 levels\\)");
+
+  const dwt::TransformConfig config;
+  const dwt::TreePyramid good = dwt::forward_tree(img, config, 1, 0, filter);
+  dwt::TransformConfig two = config;
+  two.levels = 2;
+  dwt::TransformConfig flat = config;
+  flat.levels = 0;
+  EXPECT_DEATH(dwt::inverse_tree(good, flat, 1, 0, filter), "inverse_tree\\(20x18, 0 levels\\)");
+  EXPECT_DEATH(dwt::inverse_tree(good, two, 1, 0, filter),
+               "inverse_tree: pyramid is not the 2-level transform of a 20x18 frame");
+  std::vector<dwt::TreePyramid> bad(6, good);
+  bad[0].levels.pop_back();
+  bad[1].levels[1].in_rows += 2;
+  bad[2].levels[2].in_cols -= 1;
+  bad[3].levels[1].hh = ImageF(3, 3);
+  bad[4].ll = ImageF(1, 1);
+  bad[5] = dwt::TreePyramid{};
+  for (std::size_t i = 0; i + 1 < bad.size(); ++i) {
+    EXPECT_DEATH(dwt::inverse_tree(bad[i], config, 1, 0, filter),
+                 "inverse_tree: pyramid is not the 3-level transform of a 20x18 frame")
+        << "case " << i;
+  }
+  EXPECT_DEATH(dwt::inverse_tree(bad[5], config, 1, 0, filter),
+               "inverse_tree\\(0x0, 3 levels\\)");
+
+  const dwt::DtcwtPyramid pyr = dwt::forward_dtcwt(img, config, filter);
+  dwt::DtcwtPyramid narrow = pyr;
+  narrow.tree[2].levels[0].lh = ImageF(10, 8);
+  EXPECT_DEATH(dwt::inverse_dtcwt(narrow, config, filter),
+               "inverse_dtcwt: pyramid is not the 3-level transform of a 20x18 frame");
+  dwt::DtcwtPyramid mixed = pyr;
+  mixed.tree[3] = dwt::forward_tree(random_image(24, 18, 4), config, 1, 1, filter);
+  EXPECT_DEATH(dwt::inverse_dtcwt(mixed, config, filter),
+               "inverse_dtcwt: pyramid is not the 3-level transform of a 20x18 frame");
+  // Well-formed pyramids still invert.
+  EXPECT_LT(max_abs_diff(img, dwt::inverse_tree(good, config, 1, 0, filter)), 1e-4);
+  EXPECT_LT(max_abs_diff(img, dwt::inverse_dtcwt(pyr, config, filter)), 1e-4);
 }
 
 }  // namespace

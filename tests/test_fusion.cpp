@@ -106,6 +106,10 @@ TEST(FuseFramesDeathTest, RejectsMismatchedOrEmptyFramesInEveryBuild) {
   fusion::FuseConfig flat;
   flat.transform.levels = 0;
   EXPECT_DEATH(fuse_frames(a, a, flat, filter), "FusionPlan\\(8x8, 0 levels\\)");
+  fusion::DwtFuseConfig flat_dwt;
+  flat_dwt.transform.levels = 0;
+  EXPECT_DEATH(fuse_frames_dwt(a, a, flat_dwt, filter),
+               "fuse_frames_dwt\\(8x8, 0 levels\\)");
   sched::NeonBackend neon;
   sched::TimedFusionRunner runner(neon, flat);
   EXPECT_DEATH(runner.run_frame_pair(a, a), "FusionPlan\\(8x8, 0 levels\\)");

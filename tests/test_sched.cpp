@@ -1,6 +1,9 @@
 // Scheduler behavior: the paper's crossovers and the adaptive router.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "src/sched/adaptive.h"
 #include "src/sched/calibrate.h"
 
@@ -42,6 +45,41 @@ TEST(Probe, DeterministicModeledTimes) {
   EXPECT_DOUBLE_EQ(r1.energy_mj, r2.energy_mj);
   EXPECT_GT(r1.forward.sec(), 0.0);
   EXPECT_GT(r1.inverse.sec(), 0.0);
+}
+
+// The runner keeps its FusionPlan across frame pairs and rebuilds it only
+// when the dims change: alternating sizes on one runner must match a fresh
+// runner per pair (on a twin backend carrying the same state) bit for bit.
+TEST(Probe, KeptPlanMatchesFreshRunnersAcrossSizeChanges) {
+  const auto big = sched::make_sweep_frames({88, 72}, 2);
+  const auto small = sched::make_sweep_frames({33, 25}, 2);
+  const sched::BackendKind kinds[] = {
+      sched::BackendKind::kArm, sched::BackendKind::kNeon,
+      sched::BackendKind::kFpga, sched::BackendKind::kFpgaBatched,
+      sched::BackendKind::kAdaptive};
+  auto same_times = [](const sched::StageTimes& x, const sched::StageTimes& y) {
+    return x.prep == y.prep && x.forward == y.forward && x.fusion == y.fusion &&
+           x.inverse == y.inverse;
+  };
+  for (const sched::BackendKind kind : kinds) {
+    const auto kept_backend = sched::make_backend(kind, sched::RunConfig{});
+    const auto fresh_backend = sched::make_backend(kind, sched::RunConfig{});
+    sched::TimedFusionRunner kept(*kept_backend);
+    for (int i = 0; i < 4; ++i) {
+      const sched::FramePair& pair = (i % 2 ? small : big)[i / 2];
+      const auto got = kept.run_frame_pair(pair.visible, pair.thermal);
+      const auto want = sched::TimedFusionRunner(*fresh_backend)
+                            .run_frame_pair(pair.visible, pair.thermal);
+      const std::string at =
+          std::string(sched::backend_name(kind)) + " pair " + std::to_string(i);
+      ASSERT_EQ(got.fused.size(), want.fused.size()) << at;
+      EXPECT_EQ(0, std::memcmp(got.fused.data(), want.fused.data(),
+                               got.fused.size() * sizeof(float)))
+          << at;
+      EXPECT_TRUE(same_times(got.times, want.times)) << at;
+      EXPECT_TRUE(same_times(got.pl_times, want.pl_times)) << at;
+    }
+  }
 }
 
 TEST(Crossover, NeonWinsBelowFpgaWinsAbove) {
