@@ -1,7 +1,9 @@
 // Scheduler behavior: the paper's crossovers and the adaptive router.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <ios>
 #include <string>
 
 #include "src/sched/adaptive.h"
@@ -35,6 +37,34 @@ TEST(FrameSweep, FramesAreDeterministicAndInRange) {
     diff += std::abs(a[0].thermal.data()[i] - a[1].thermal.data()[i]);
   }
   EXPECT_GT(diff, 1.0);
+}
+
+// Pins the synthetic scene bit for bit (pinned before the per-row and
+// per-column texture terms were tabulated), at both fleet frame sizes and an
+// odd one.
+TEST(FrameSweep, FramesMatchGoldenHashes) {
+  const struct {
+    sched::FrameSize size;
+    int count;
+    std::uint64_t hash;
+  } goldens[] = {
+      {{88, 72}, 32, 0x4c4e07780a55c09cull},
+      {{32, 24}, 32, 0xc561403d0eb91409ull},
+      {{17, 9}, 3, 0x88e927d2d09bb328ull},
+  };
+  for (const auto& g : goldens) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const sched::FramePair& p : sched::make_sweep_frames(g.size, g.count)) {
+      for (const image::ImageF* img : {&p.visible, &p.thermal}) {
+        const auto* bytes = reinterpret_cast<const unsigned char*>(img->data());
+        for (std::size_t i = 0; i < img->size() * sizeof(float); ++i) {
+          h ^= bytes[i];
+          h *= 1099511628211ull;
+        }
+      }
+    }
+    EXPECT_EQ(h, g.hash) << g.size.label() << " 0x" << std::hex << h;
+  }
 }
 
 TEST(Probe, DeterministicModeledTimes) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ios>
 #include <string_view>
 #include <vector>
 
@@ -413,10 +414,10 @@ std::vector<sched::detail::StreamingStreamInput> contended_inputs(int repeat,
 
 sched::detail::FleetSchedule contended_replay(
     const std::vector<sched::detail::StreamingStreamInput>& streams,
-    std::vector<Timeline::Event>* log) {
+    std::vector<Timeline::Event>* log, bool steal_engines = true) {
   return sched::detail::schedule_streaming(
-      streams, /*cores=*/2, /*engines=*/2, /*pipeline_depth=*/3,
-      /*steal_engines=*/true, /*spill_wait_frac=*/0.5, log);
+      streams, /*cores=*/2, /*engines=*/2, /*pipeline_depth=*/3, steal_engines,
+      /*spill_wait_frac=*/0.5, log);
 }
 
 // Pins the exact event list of the contended 3-stream replay, which drops
@@ -447,6 +448,20 @@ TEST(Streaming, GoldenScheduleOfAContendedThreeStreamReplay) {
 
   EXPECT_EQ(log.size(), 377u);
   EXPECT_EQ(hash_events(log), 0x860b1ad685517decull);
+}
+
+// The same replay with every stream kept on its home engine slot (the
+// stage-granular stream's PL blocks included), pinned before the dispatch
+// scan learned to skip streams that cannot beat the best start found.
+TEST(Streaming, GoldenScheduleOfAContendedReplayWithoutStealing) {
+  std::vector<Timeline::Event> log;
+  const sched::detail::FleetSchedule sched =
+      contended_replay(contended_inputs(/*repeat=*/1, /*dedup=*/true), &log,
+                       /*steal_engines=*/false);
+  EXPECT_EQ(log.size(), 357u);
+  EXPECT_EQ(hash_events(log), 0xcc13176078995dccull) << std::hex << hash_events(log);
+  EXPECT_EQ(hash_busy_and_energy(sched), 0x7806329ef19aca78ull)
+      << std::hex << hash_busy_and_energy(sched);
 }
 
 // Pinned before the timeline kept coalesced spans instead of events: the
