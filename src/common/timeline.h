@@ -59,6 +59,11 @@ class Timeline {
   Event schedule(ResourceId r, const char* label, SimDuration ready,
                  SimDuration duration);
 
+  // Clears every event: free times, busy totals, spans and the makespan go
+  // back to zero. The resources and the span lists' capacity are kept, so a
+  // timeline reused per frame allocates nothing after the first.
+  void reset();
+
   // Appends every event scheduled from now on to `*log` (caller-owned; the
   // timeline never clears it). nullptr, the default, stops logging. For
   // tests and trace export; no result of the timeline reads the log.

@@ -296,6 +296,16 @@ class PipelinedWaveletAccelerator {
     return last_output_end_;
   }
 
+  // Moves the time origin to zero for a timeline that was just reset: the
+  // buffer, fence and drain times go back to zero. Call it only when drained
+  // (after flush()); the counters, the ping-pong parity and a pending
+  // barrier carry over.
+  void rebase() {
+    buffer_free_[0] = buffer_free_[1] = SimDuration::zero();
+    dep_ready_ = SimDuration::zero();
+    last_output_end_ = SimDuration::zero();
+  }
+
   long long lines() const { return lines_; }
   long long driver_calls() const { return driver_calls_; }
   // Batches that paid the full driver entry (chain heads). With

@@ -83,6 +83,14 @@ void BatchedFpgaBackend::charge(SimDuration d) {
   }
 }
 
+void BatchedFpgaBackend::on_begin_frame() {
+  timeline_.reset();
+  accel_.rebase();
+  mark_ = SimDuration::zero();
+  mark_pl_busy_ = SimDuration::zero();
+  ps_ready_ = SimDuration::zero();
+}
+
 void BatchedFpgaBackend::on_phase_exit(Phase old_phase) {
   sync(old_phase);
   if (tracing_) {

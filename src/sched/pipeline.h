@@ -39,6 +39,11 @@ namespace vf::sched {
 // resources (PS core, ACP DMA, PL engine); the additive per-phase ledger is
 // reconciled from makespan deltas at phase boundaries, so
 // frame_times().total() is the PS-visible end-to-end time, overlap included.
+// Each frame is charged on that timeline from a frame-relative origin: the
+// previous frame is drained at finish_frame(), so begin_frame() resets the
+// timeline and every time-valued field to zero, and a frame's stage costs
+// depend only on its shape and the carried driver state (ping-pong parity,
+// a pending barrier), never on how many frames came before.
 class BatchedFpgaBackend : public TransformBackend {
  public:
   BatchedFpgaBackend() : BatchedFpgaBackend(RunConfig{}) {}
@@ -54,11 +59,7 @@ class BatchedFpgaBackend : public TransformBackend {
   void charge(SimDuration d) override;
   void finish_frame() override;
 
-  const Timeline& timeline() const { return timeline_; }
   const driver::PipelinedWaveletAccelerator& accelerator() const { return accel_; }
-  ResourceId ps_resource() const { return ps_; }
-  ResourceId dma_resource() const { return dma_; }
-  ResourceId pl_resource() const { return pl_; }
 
   // Cross-frame streaming trace (ISSUE 9): record every frame's op stream
   // (PS slices, accelerator batches, stage boundaries) during the serial
@@ -70,6 +71,7 @@ class BatchedFpgaBackend : public TransformBackend {
   detail::FrameOpLists take_stream_trace();
 
  protected:
+  void on_begin_frame() override;
   void on_phase_exit(Phase old_phase) override;
 
  private:

@@ -13,6 +13,15 @@ ResourceId Timeline::add_resource(std::string name) {
   return static_cast<ResourceId>(resources_.size()) - 1;
 }
 
+void Timeline::reset() {
+  for (Resource& res : resources_) {
+    res.free_at = SimDuration::zero();
+    res.busy = SimDuration::zero();
+    res.spans.clear();
+  }
+  makespan_ = SimDuration::zero();
+}
+
 Timeline::Event Timeline::schedule(ResourceId r, const char* label,
                                    SimDuration ready, SimDuration duration) {
   // Always-on: the CMake default is Release, where an assert would let a bad

@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "src/sched/adaptive.h"
+#include "src/sched/fleet.h"
 #include "src/sched/pipeline.h"
+#include "src/sched/streaming.h"
 
 namespace vf {
 namespace {
@@ -84,6 +86,22 @@ std::vector<Sequence> sequences() {
   return seqs;
 }
 
+// Every field of every op, and which list each frame replays.
+std::uint64_t hash_op_lists(std::uint64_t h, const sched::detail::FrameOpLists& ops) {
+  for (const std::vector<sched::detail::StreamOp>& list : ops.lists) {
+    const std::uint64_t n = list.size();
+    h = fnv1a(h, &n, sizeof n);
+    for (const sched::detail::StreamOp& op : list) {
+      const int ints[5] = {static_cast<int>(op.kind), op.stage, op.words_in,
+                           op.words_out, op.after_barrier ? 1 : 0};
+      const double reals[2] = {op.ps.sec(), op.compute_cycles};
+      h = fnv1a(h, ints, sizeof ints);
+      h = fnv1a(h, reals, sizeof reals);
+    }
+  }
+  return fnv1a(h, ops.frame_list.data(), ops.frame_list.size() * sizeof(int));
+}
+
 // Per-frame times and PL split of one runner over `frames`, then the
 // backend's final counters.
 std::uint64_t hash_runner_sequence(sched::TransformBackend& backend,
@@ -124,6 +142,80 @@ TEST(FrameMemo, RunnerSequencesMatchGoldenHashes) {
                                  << sched::backend_name(kinds[k]) << " " << hex(h);
     }
   }
+}
+
+// FPGA+batch carries its driver state (ping-pong parity, a pending barrier)
+// into the next frame. Pinned once its pass-1 timeline took a frame-relative
+// origin, with stream tracing off and on (then with the captured op lists).
+TEST(FrameMemo, BatchedRunnerSequencesMatchGoldenHashes) {
+  // [sequence][tracing off, on], in the order of sequences().
+  const std::uint64_t golden[4][2] = {
+      {0x35dc6902f98fb65aull, 0x4b2c1795c0eae1e2ull},
+      {0x58428127fe16df9dull, 0xf53dca20141daf79ull},
+      {0xf2cf7536cd1191efull, 0x6eca65aa5c5de0f7ull},
+      {0x4fa63b16421cbf72ull, 0x96387cdaca42e59cull},
+  };
+  const std::vector<Sequence> seqs = sequences();
+  for (std::size_t s = 0; s < seqs.size(); ++s) {
+    for (int trace = 0; trace < 2; ++trace) {
+      sched::RunConfig run;
+      run.batching.sg_chain_len = 8;
+      sched::BatchedFpgaBackend backend(run);
+      if (trace) backend.enable_stream_trace();
+      std::uint64_t h = hash_runner_sequence(backend, seqs[s].frames);
+      if (trace) h = hash_op_lists(h, backend.take_stream_trace());
+      EXPECT_EQ(h, golden[s][trace]) << seqs[s].name << " trace=" << trace << " "
+                                     << hex(h);
+    }
+  }
+}
+
+// run_fleet shaped like the fleet4-mixed benchmark workload: two 88x72
+// FPGA+batch cameras on the streaming replay and two 32x24 Adaptive cameras,
+// 25 fps with jitter, two Q2.16 engine slots and two cores, stealing and
+// the NEON spill on.
+TEST(FrameMemo, MixedFleetMatchesGoldenHash) {
+  std::vector<sched::StreamConfig> streams(4);
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    sched::StreamConfig& sc = streams[s];
+    sc.backend = s < 2 ? sched::BackendKind::kFpgaBatched
+                       : sched::BackendKind::kAdaptive;
+    sc.run.frame_size = s < 2 ? sched::FrameSize{88, 72} : sched::FrameSize{32, 24};
+    sc.run.frames = 32;
+    if (s < 2) {
+      sc.run.cross_frame = true;
+      sc.run.batching.sg_chain_len = 8;
+    }
+    sc.arrival.fps = 25.0;
+    sc.arrival.jitter_frac = 0.2;
+    sc.queue_depth = 4;
+  }
+  sched::FleetConfig fleet;
+  fleet.engines = 2;
+  fleet.cores = 2;
+  fleet.pipeline_depth = 4;
+  fleet.steal_engines = true;
+  fleet.spill_wait_frac = 0.5;
+  fleet.fixed_point_engines = true;
+  fleet.cross_frame = true;
+  const sched::FleetResult r = sched::run_fleet(streams, fleet);
+
+  std::uint64_t h = kFnvBasis;
+  const int counts[4] = {r.arrived, r.admitted, r.dropped, r.completed};
+  const double totals[5] = {r.makespan.sec(), r.ps_busy.sec(), r.pl_busy.sec(),
+                            r.energy_mj, r.energy_gated_mj};
+  h = fnv1a(h, counts, sizeof counts);
+  h = fnv1a(h, totals, sizeof totals);
+  for (const sched::StreamStats& st : r.streams) {
+    const int c[5] = {st.arrived, st.admitted, st.dropped, st.completed, st.spilled};
+    const double v[7] = {st.p50_latency.sec(), st.p99_latency.sec(),
+                         st.max_latency.sec(), st.last_completion.sec(),
+                         st.ps_busy.sec(),     st.pl_busy.sec(),
+                         st.energy_mj};
+    h = fnv1a(h, c, sizeof c);
+    h = fnv1a(h, v, sizeof v);
+  }
+  EXPECT_EQ(h, 0x9b821cabd6b15221ull) << hex(h);
 }
 
 }  // namespace

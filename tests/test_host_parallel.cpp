@@ -370,7 +370,11 @@ TEST(OracleIdentity, AccountSequenceMatchesGoldenHashes) {
   }
 }
 
-// Every modeled backend's probe: stage times, total and energy.
+// Every modeled backend's probe: stage times, total and energy. The
+// FPGA+batch hashes were re-pinned when its pass-1 timeline moved to a
+// frame-relative origin: frame 1's stage costs are no longer differences of
+// absolute times that carry frame 0's makespan, so they round differently
+// (about 1e-15 relative); every other backend's hash is unchanged.
 TEST(OracleIdentity, ModeledProbeMatchesGoldenHashes) {
   struct Golden {
     sched::FrameSize size;
@@ -379,10 +383,10 @@ TEST(OracleIdentity, ModeledProbeMatchesGoldenHashes) {
   const Golden goldens[] = {
       {{33, 25},
        {0x4c605200adea034dull, 0xd45883de92bada54ull, 0x0501062e0feafa4dull,
-        0x90c9bb3c070ea3e3ull, 0x46cb52ff0402b37cull}},
+        0xc98d7638a7d191e3ull, 0x46cb52ff0402b37cull}},
       {{88, 72},
        {0xef70d3375f9abfcdull, 0xe9592be91fb0aa82ull, 0xd4df8909b0338de1ull,
-        0xd689ba81e806ad7aull, 0xb2147c5fdf928ae0ull}},
+        0x0414daa5ea59f1d8ull, 0xb2147c5fdf928ae0ull}},
   };
   const sched::BackendKind kinds[] = {
       sched::BackendKind::kArm, sched::BackendKind::kNeon,
@@ -402,8 +406,12 @@ TEST(OracleIdentity, ModeledProbeMatchesGoldenHashes) {
 }
 
 // The event-queue pipeline, legacy and cross-frame streaming with SG chains.
+// Re-pinned with the frame-relative pass-1 origin: the FPGA+batch stage
+// costs round differently, which moves serial_total in both cases and the
+// legacy stage-granular schedule built from those costs; the streaming
+// replay's op lists, so its makespan, busy times and energy, did not move.
 TEST(OracleIdentity, PipelinedRunMatchesGoldenHashes) {
-  const std::uint64_t golden[2] = {0x6467d32bce7fdde2ull, 0xe9cafb7fa52bcadcull};
+  const std::uint64_t golden[2] = {0x93288c7f0695e562ull, 0xe64aae452c094e29ull};
   const auto stream = sched::make_sweep_frames({33, 25}, 3);
   for (int cross = 0; cross < 2; ++cross) {
     sched::RunConfig rc;
