@@ -33,7 +33,10 @@ ImageF& band(dwt::LevelBands& lv, int which) {
 image::ImageF fuse_frames(const image::ImageF& a, const image::ImageF& b,
                           const FuseConfig& config, dwt::LineFilter& filter) {
   require_frame_pair(a, b, "fuse_frames");
-  return dwt::FusionPlan(a.rows(), a.cols(), config.transform).run(a, b, filter);
+  const dwt::FusionPlan plan(a.rows(), a.cols(), config.transform);
+  image::ImageF fused = plan.run(a, b, filter);
+  plan.account(filter);
+  return fused;
 }
 
 FusionOutcome fuse_frames_with_quality(const image::ImageF& a, const image::ImageF& b,

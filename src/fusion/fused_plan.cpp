@@ -54,8 +54,7 @@ FusionPlan::FusionPlan(int rows, int cols, const TransformConfig& config)
   }
 }
 
-ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
-                       const StageHooks& hooks) const {
+ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f) const {
   // Always-on: the CMake default is Release, where an assert would let a
   // frame smaller than the plan read out of bounds.
   const int rows = t_.dims[0].r, cols = t_.dims[0].c;
@@ -338,8 +337,11 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
     for (size_t i = 0; i < n; ++i) acc[i] += r[i];
   }
   for (size_t i = 0; i < n; ++i) acc[i] *= 0.25f;
+  return out;
+}
 
-  // --- serial accounting replay, in the staged transforms' canonical order
+void FusionPlan::account(LineFilter& f, const StageHooks& hooks) const {
+  // In the staged transforms' canonical order.
   if (hooks.before_forward) hooks.before_forward();
   for (int x = 0; x < 2; ++x) {
     for (int t = 0; t < 4; ++t) detail::account_forward_tree(t_, t >> 1, t & 1, f);
@@ -356,7 +358,6 @@ ImageF FusionPlan::run(const ImageF& a, const ImageF& b, LineFilter& f,
   }
   if (hooks.before_inverse) hooks.before_inverse();
   for (int t = 0; t < 4; ++t) detail::account_inverse_tree(t_, t >> 1, t & 1, f);
-  return out;
 }
 
 FusionPlan::Traffic FusionPlan::estimate_traffic() const {

@@ -27,8 +27,8 @@
 // and every output is computed in the scalar kernels' order (lane-
 // interleaved kernels vectorize across lines, not along them — see
 // kernels.h), the reconstruction accumulates trees in the same order, and
-// the filter's account_*/barrier() bookkeeping is replayed serially
-// afterwards in the canonical staged sequence (forward A trees 0-3, forward
+// the filter's account_*/barrier() bookkeeping is a separate serial replay
+// (account()) in the canonical staged sequence (forward A trees 0-3, forward
 // B trees 0-3, fusion pair/level/subband, inverse trees 0-3). The scalar
 // reference in tests/dtcwt_oracle.h pins the numerics. StageHooks let a
 // timed runner interleave its phase transitions with that replay.
@@ -62,11 +62,19 @@ class FusionPlan {
   int rows() const { return t_.dims[0].r; }
   int cols() const { return t_.dims[0].c; }
 
-  // Fuse one frame pair. Numerics first (pool-parallel over line blocks when
-  // the filter has a pool), then the serial accounting replay. Frames that
-  // do not match the plan's dims abort with a message in every build type.
+  // Fuse one frame pair: the numerics only, pool-parallel over line blocks
+  // when the filter has a pool; the filter's kernels() and pool() are its
+  // only calls. Frames that do not match the plan's dims abort with a message
+  // in every build type.
   image::ImageF run(const image::ImageF& a, const image::ImageF& b,
-                    LineFilter& filter, const StageHooks& hooks = {}) const;
+                    LineFilter& filter) const;
+
+  // The serial accounting replay of one frame pair of the plan's dims: every
+  // account_*/barrier() call, in the canonical staged order, with the hooks
+  // fired between the stages. It depends on the dims alone, so a caller may
+  // replay it once and reuse the result (TimedFusionRunner's frame memo);
+  // fuse_frames runs it after every run().
+  void account(LineFilter& filter, const StageHooks& hooks = {}) const;
 
   // Estimated DRAM traffic per frame pair, derived from the pass structure
   // (each plane-sized read/write a pass makes, x4 bytes; block scratch that

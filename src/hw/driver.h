@@ -149,20 +149,36 @@ class WaveletAccelerator {
     } else {
       stall = cost.compute;
     }
-    stall_time_ += stall;
+    totals_.stall += stall;
 
     const SimDuration total = cost.driver + cost.input + stall + cost.output;
-    busy_time_ += total;
-    ++lines_;
+    totals_.busy += total;
+    ++totals_.lines;
     last_ps_time_ = cost.ps_part(costs_, engine_.dma_enabled);
     last_pl_time_ = total - last_ps_time_;
     return total;
   }
 
   // Accumulated PS wait-for-PL time (what double buffering removes).
-  SimDuration stall_time() const { return stall_time_; }
-  SimDuration busy_time() const { return busy_time_; }
-  long long lines() const { return lines_; }
+  SimDuration stall_time() const { return totals_.stall; }
+  SimDuration busy_time() const { return totals_.busy; }
+  long long lines() const { return totals_.lines; }
+
+  // The running totals above, as one value. A frame memo measures one
+  // frame's share by starting it from zero totals, then adds that share
+  // back once per frame it stands for.
+  struct Totals {
+    SimDuration stall, busy;
+    long long lines = 0;
+    Totals& operator+=(const Totals& o) {
+      stall += o.stall;
+      busy += o.busy;
+      lines += o.lines;
+      return *this;
+    }
+  };
+  const Totals& totals() const { return totals_; }
+  void set_totals(const Totals& totals) { totals_ = totals; }
 
   // Split of the most recent line_time() between PS-resident work (driver
   // entry, GP-port word moves) and the PL-side remainder (DMA, engine,
@@ -171,9 +187,7 @@ class WaveletAccelerator {
   SimDuration last_line_pl_time() const { return last_pl_time_; }
 
   void reset() {
-    stall_time_ = SimDuration::zero();
-    busy_time_ = SimDuration::zero();
-    lines_ = 0;
+    totals_ = {};
     last_ps_time_ = SimDuration::zero();
     last_pl_time_ = SimDuration::zero();
   }
@@ -181,9 +195,7 @@ class WaveletAccelerator {
  private:
   hw::WaveletEngineConfig engine_;
   DriverCosts costs_;
-  SimDuration stall_time_;
-  SimDuration busy_time_;
-  long long lines_ = 0;
+  Totals totals_;
   SimDuration last_ps_time_;
   SimDuration last_pl_time_;
 };
@@ -311,7 +323,27 @@ class PipelinedWaveletAccelerator {
   // Batches that paid the full driver entry (chain heads). With
   // sg_chain_len = 1 this equals driver_calls().
   long long chain_heads() const { return chain_heads_; }
-  SimDuration last_completion() const { return last_output_end_; }
+  // A barrier() no batch has followed yet: the next batch is traced with
+  // after_barrier set.
+  bool barrier_pending() const { return barrier_pending_; }
+
+  // The counters above, as one value, for a frame memo: a replayed frame's
+  // share is the difference of two snapshots (exact, they are integers).
+  struct Counters {
+    long long lines = 0, driver_calls = 0, chain_heads = 0;
+  };
+  Counters counters() const { return {lines_, driver_calls_, chain_heads_}; }
+
+  // Stands in for a drained frame that is not replayed: advances the
+  // counters by that frame's share (which carries the ping-pong parity on)
+  // and takes the barrier state it ended in. The time-valued fields keep
+  // the origin rebase() gave them.
+  void skip_frame(const Counters& share, bool barrier_pending) {
+    lines_ += share.lines;
+    driver_calls_ += share.driver_calls;
+    chain_heads_ += share.chain_heads;
+    barrier_pending_ = barrier_pending;
+  }
 
  private:
   struct Pending {

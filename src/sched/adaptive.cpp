@@ -1,5 +1,6 @@
 #include "src/sched/adaptive.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -109,6 +110,22 @@ SimDuration TransformBackend::prep_time(int pixels) const {
   return hw::ps_clock().cycles(arm_cost_model().prep_cycles_per_pixel * pixels);
 }
 
+std::unique_ptr<TransformBackend::FrameRecord> TransformBackend::begin_record() {
+  return std::make_unique<FrameRecord>();
+}
+
+void TransformBackend::end_record(FrameRecord* record) {
+  record->times = times_;
+  record->pl_times = pl_times_;
+  record->phase = phase_;
+}
+
+void TransformBackend::apply_record(const FrameRecord& record) {
+  times_ = record.times;
+  pl_times_ = record.pl_times;
+  phase_ = record.phase;
+}
+
 // --- CPU backends -----------------------------------------------------------
 
 namespace detail {
@@ -147,6 +164,29 @@ void check_engine_fit(const driver::WaveletAccelerator& accel, int taps,
                       bool synthesis) {
   detail::check_engine_fit(accel.engine(), taps, synthesis);
 }
+
+// One frame's share of a serial accelerator's running totals: the replayed
+// frame accumulates from zero, and the share is added back once per frame
+// it stands for, so the totals sum frame by frame whether or not a frame
+// was replayed.
+struct AcceleratorShare {
+  driver::WaveletAccelerator::Totals before, share;
+
+  void begin(driver::WaveletAccelerator* accel) {
+    before = accel->totals();
+    accel->set_totals({});
+  }
+  void end(driver::WaveletAccelerator* accel) {
+    share = accel->totals();
+    accel->set_totals(before);
+    apply(accel);
+  }
+  void apply(driver::WaveletAccelerator* accel) const {
+    driver::WaveletAccelerator::Totals totals = accel->totals();
+    totals += share;
+    accel->set_totals(totals);
+  }
+};
 
 }  // namespace
 
@@ -221,6 +261,26 @@ FpgaBackend::~FpgaBackend() = default;
 
 dwt::LineFilter& FpgaBackend::line_filter() { return *filter_; }
 
+struct FpgaBackend::Record : FrameRecord {
+  AcceleratorShare accel;
+};
+
+std::unique_ptr<TransformBackend::FrameRecord> FpgaBackend::begin_record() {
+  auto record = std::make_unique<Record>();
+  record->accel.begin(&accel_);
+  return record;
+}
+
+void FpgaBackend::end_record(FrameRecord* record) {
+  TransformBackend::end_record(record);
+  static_cast<Record*>(record)->accel.end(&accel_);
+}
+
+void FpgaBackend::apply_record(const FrameRecord& record) {
+  TransformBackend::apply_record(record);
+  static_cast<const Record&>(record).accel.apply(&accel_);
+}
+
 // --- adaptive backend -------------------------------------------------------
 
 // The router's per-line decision affects only modeled time (the NEON and FPGA
@@ -286,29 +346,70 @@ AdaptiveBackend::~AdaptiveBackend() = default;
 
 dwt::LineFilter& AdaptiveBackend::line_filter() { return *filter_; }
 
+struct AdaptiveBackend::Record : FrameRecord {
+  AcceleratorShare accel;
+  long long fpga_lines = 0, simd_lines = 0;  // routed by the frame
+};
+
+std::unique_ptr<TransformBackend::FrameRecord> AdaptiveBackend::begin_record() {
+  auto record = std::make_unique<Record>();
+  record->accel.begin(&accel_);
+  record->fpga_lines = router_.lines_on_fpga();
+  record->simd_lines = router_.lines_on_simd();
+  return record;
+}
+
+void AdaptiveBackend::end_record(FrameRecord* record) {
+  TransformBackend::end_record(record);
+  Record* r = static_cast<Record*>(record);
+  r->accel.end(&accel_);
+  r->fpga_lines = router_.lines_on_fpga() - r->fpga_lines;
+  r->simd_lines = router_.lines_on_simd() - r->simd_lines;
+}
+
+void AdaptiveBackend::apply_record(const FrameRecord& record) {
+  TransformBackend::apply_record(record);
+  const Record& r = static_cast<const Record&>(record);
+  r.accel.apply(&accel_);
+  router_.add_lines(r.fpga_lines, r.simd_lines);
+}
+
 // --- probing ----------------------------------------------------------------
 
 FrameRunResult TimedFusionRunner::run_frame_pair(const image::ImageF& visible,
                                                  const image::ImageF& thermal) {
-  backend_.begin_frame();
-  backend_.set_phase(Phase::kPrep);
-  backend_.charge(backend_.prep_time(
-      static_cast<int>(visible.size() + thermal.size())));
-
-  FrameRunResult result;
-  // Band-streaming plan: numerics run during kPrep (they make no backend
-  // calls), then the accounting replay fires the phase transitions at their
-  // points in the modeled call sequence.
   if (!plan_ || plan_->rows() != visible.rows() ||
       plan_->cols() != visible.cols()) {
     plan_.emplace(visible.rows(), visible.cols(), config_.transform);
+    memo_.clear();
   }
-  dwt::FusionPlan::StageHooks hooks;
-  hooks.before_forward = [this] { backend_.set_phase(Phase::kForward); };
-  hooks.before_fusion = [this] { backend_.set_phase(Phase::kFusion); };
-  hooks.before_inverse = [this] { backend_.set_phase(Phase::kInverse); };
-  result.fused = plan_->run(visible, thermal, backend_.line_filter(), hooks);
-  backend_.finish_frame();
+  FrameRunResult result;
+  // Band-streaming plan: the numerics make no backend calls besides the
+  // filter's kernels() and pool().
+  result.fused = plan_->run(visible, thermal, backend_.line_filter());
+
+  const std::uint64_t key = backend_.memo_key();
+  const auto hit = std::find_if(memo_.begin(), memo_.end(),
+                                [key](const MemoEntry& e) { return e.key == key; });
+  if (hit != memo_.end()) {
+    backend_.apply_record(*hit->record);
+  } else {
+    // The accounting replay fires the phase transitions at their points in
+    // the modeled call sequence.
+    std::unique_ptr<TransformBackend::FrameRecord> record = backend_.begin_record();
+    backend_.begin_frame();
+    backend_.set_phase(Phase::kPrep);
+    backend_.charge(backend_.prep_time(
+        static_cast<int>(visible.size() + thermal.size())));
+    dwt::FusionPlan::StageHooks hooks;
+    hooks.before_forward = [this] { backend_.set_phase(Phase::kForward); };
+    hooks.before_fusion = [this] { backend_.set_phase(Phase::kFusion); };
+    hooks.before_inverse = [this] { backend_.set_phase(Phase::kInverse); };
+    plan_->account(backend_.line_filter(), hooks);
+    backend_.finish_frame();
+    backend_.end_record(record.get());
+    memo_.push_back({key, std::move(record)});
+  }
   result.times = backend_.frame_times();
   result.pl_times = backend_.frame_pl_times();
   return result;

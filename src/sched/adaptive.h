@@ -9,6 +9,7 @@
 // paper's measured curves — see DESIGN.md §2 and tests/test_sched.cpp.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -122,6 +123,32 @@ class TransformBackend {
   // Frame prep/conversion runs on the ARM regardless of engine.
   SimDuration prep_time(int pixels) const;
 
+  // --- per-shape frame memo (TimedFusionRunner) ---------------------------
+  //
+  // Every account_* cost is a function of line shapes only, so a frame's
+  // modeled cost depends on its dims and on the state the backend carries
+  // into it, which memo_key() names (0 for a backend that carries only
+  // accumulators). A runner replays the first frame of each (dims, key)
+  // between begin_record() and end_record(), and stands every later frame
+  // of that dims and key in with apply_record() instead of replaying it: the
+  // ledgers, phase, counters and carried state end as the replay would
+  // leave them.
+  class FrameRecord {
+   public:
+    virtual ~FrameRecord() = default;
+
+   private:
+    friend class TransformBackend;
+    StageTimes times, pl_times;
+    Phase phase = Phase::kPrep;
+  };
+  virtual std::uint64_t memo_key() const { return 0; }
+  // Called before the replayed frame's begin_frame(); the record it returns
+  // is completed by end_record() after its finish_frame().
+  virtual std::unique_ptr<FrameRecord> begin_record();
+  virtual void end_record(FrameRecord* record);
+  virtual void apply_record(const FrameRecord& record);
+
  protected:
   explicit TransformBackend(const HostConfig& host = {})
       : host_pool_(host::pool(host)) {}
@@ -208,8 +235,13 @@ class FpgaBackend : public TransformBackend {
 
   const driver::WaveletAccelerator& accelerator() const { return accel_; }
 
+  std::unique_ptr<FrameRecord> begin_record() override;
+  void end_record(FrameRecord* record) override;
+  void apply_record(const FrameRecord& record) override;
+
  private:
   class Filter;
+  struct Record;
   driver::WaveletAccelerator accel_;
   std::unique_ptr<Filter> filter_;
 };
@@ -230,6 +262,12 @@ class LineRouter {
   int threshold_samples() const { return threshold_; }
   long long lines_on_fpga() const { return fpga_lines_; }
   long long lines_on_simd() const { return simd_lines_; }
+
+  // Counts lines routed by a frame that was not replayed (frame memo).
+  void add_lines(long long fpga, long long simd) {
+    fpga_lines_ += fpga;
+    simd_lines_ += simd;
+  }
 
  private:
   int threshold_;
@@ -252,8 +290,13 @@ class AdaptiveBackend : public TransformBackend {
   const LineRouter& router() const { return router_; }
   const driver::WaveletAccelerator& accelerator() const { return accel_; }
 
+  std::unique_ptr<FrameRecord> begin_record() override;
+  void end_record(FrameRecord* record) override;
+  void apply_record(const FrameRecord& record) override;
+
  private:
   class Filter;
+  struct Record;
   driver::WaveletAccelerator accel_;
   LineRouter router_;
   std::unique_ptr<Filter> filter_;
@@ -271,6 +314,12 @@ struct FrameRunResult {
 // pairs always run the band-streaming dwt::FusionPlan, so a transform with
 // fewer than one level aborts with a message in every build type. The plan
 // is kept across frame pairs and rebuilt only when the frame dims change.
+//
+// Every frame runs its numerics. The modeled accounting is replayed only for
+// the first frame of each backend memo_key() under the current plan; later
+// frames with that key apply the recorded result (TransformBackend::
+// apply_record), so a stream of one frame size replays one or two frames.
+// A frame of new dims starts a new plan and an empty memo.
 class TimedFusionRunner {
  public:
   explicit TimedFusionRunner(TransformBackend& backend,
@@ -281,9 +330,14 @@ class TimedFusionRunner {
                                 const image::ImageF& thermal);
 
  private:
+  struct MemoEntry {
+    std::uint64_t key;
+    std::unique_ptr<TransformBackend::FrameRecord> record;
+  };
   TransformBackend& backend_;
   fusion::FuseConfig config_;
   std::optional<dwt::FusionPlan> plan_;
+  std::vector<MemoEntry> memo_;  // the plan's dims, one entry per key seen
 };
 
 struct ProbeResult {

@@ -112,6 +112,7 @@ void BatchedFpgaBackend::finish_frame() {
 
 void BatchedFpgaBackend::enable_stream_trace() {
   tracing_ = true;
+  ++trace_session_;
   batch_trace_.clear();
   batch_drained_ = 0;
   cur_ops_.clear();
@@ -123,6 +124,45 @@ detail::FrameOpLists BatchedFpgaBackend::take_stream_trace() {
   tracing_ = false;
   accel_.set_trace(nullptr);
   return std::exchange(trace_frames_, {});
+}
+
+struct BatchedFpgaBackend::Record : FrameRecord {
+  driver::PipelinedWaveletAccelerator::Counters share;
+  bool barrier_pending = false;  // at the frame's end
+  int op_list = -1;              // tracing: the frame's stored op list
+};
+
+std::uint64_t BatchedFpgaBackend::memo_key() const {
+  return static_cast<std::uint64_t>(accel_.driver_calls() & 1) |
+         (accel_.barrier_pending() ? 2u : 0u) |
+         (tracing_ ? trace_session_ << 2 : 0u);
+}
+
+std::unique_ptr<TransformBackend::FrameRecord> BatchedFpgaBackend::begin_record() {
+  auto record = std::make_unique<Record>();
+  record->share = accel_.counters();
+  return record;
+}
+
+void BatchedFpgaBackend::end_record(FrameRecord* record) {
+  TransformBackend::end_record(record);
+  Record* r = static_cast<Record*>(record);
+  const driver::PipelinedWaveletAccelerator::Counters now = accel_.counters();
+  r->share = {now.lines - r->share.lines, now.driver_calls - r->share.driver_calls,
+              now.chain_heads - r->share.chain_heads};
+  r->barrier_pending = accel_.barrier_pending();
+  if (tracing_) r->op_list = trace_frames_.frame_list.back();
+}
+
+// A hit leaves the pass-1 timeline and every time-valued field at the frame
+// origin, as begin_frame() does; nothing reads them before the next frame
+// resets them.
+void BatchedFpgaBackend::apply_record(const FrameRecord& record) {
+  TransformBackend::apply_record(record);
+  const Record& r = static_cast<const Record&>(record);
+  on_begin_frame();
+  accel_.skip_frame(r.share, r.barrier_pending);
+  if (tracing_) trace_frames_.repeat(r.op_list);
 }
 
 void BatchedFpgaBackend::drain_trace(Phase stage) {

@@ -70,12 +70,23 @@ class BatchedFpgaBackend : public TransformBackend {
   void enable_stream_trace();
   detail::FrameOpLists take_stream_trace();
 
+  // Frame memo. The carried state a frame's accounting reads is the
+  // ping-pong parity of the driver calls and a barrier no batch has followed
+  // yet (it sets the first traced batch's after_barrier); every time-valued
+  // field starts at the frame origin. Tracing is part of the key too, per
+  // trace session, so a hit can index the session's stored op lists.
+  std::uint64_t memo_key() const override;
+  std::unique_ptr<FrameRecord> begin_record() override;
+  void end_record(FrameRecord* record) override;
+  void apply_record(const FrameRecord& record) override;
+
  protected:
   void on_begin_frame() override;
   void on_phase_exit(Phase old_phase) override;
 
  private:
   class Filter;
+  struct Record;
 
   // Closes in-flight batches and charges the makespan growth since the last
   // sync to `charge_to` (PL/DMA busy growth goes to the PL split ledger).
@@ -96,6 +107,7 @@ class BatchedFpgaBackend : public TransformBackend {
 
   // Streaming trace capture (enable_stream_trace).
   bool tracing_ = false;
+  std::uint64_t trace_session_ = 0;  // counts enable_stream_trace() calls
   std::vector<driver::PipelinedWaveletAccelerator::BatchTrace> batch_trace_;
   std::size_t batch_drained_ = 0;
   std::vector<detail::StreamOp> cur_ops_;  // the frame being recorded

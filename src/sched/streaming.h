@@ -74,6 +74,11 @@ struct FrameOpLists {
   // field from the last stored list; otherwise the frame reuses that list.
   void append(const std::vector<StreamOp>& ops);
 
+  // Adds the next frame as a replay of stored list `list`, with no copy and
+  // no compare: for a caller that knows the frame's ops equal that list
+  // (a frame memo hit; in a stream of one frame size, the last list).
+  void repeat(int list) { frame_list.push_back(list); }
+
   int frames() const { return static_cast<int>(frame_list.size()); }
   const std::vector<StreamOp>& operator[](int f) const {
     return lists[static_cast<std::size_t>(frame_list[static_cast<std::size_t>(f)])];

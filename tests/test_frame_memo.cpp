@@ -2,13 +2,16 @@
 // function of its dims and of the state the backend carries into it, so
 // the runner replays the accounting of the first frame per (dims, carried
 // state) and applies the recorded result to later ones. These tests pin the
-// runner's per-frame output and final counters with golden hashes, taken
-// before the memo existed.
+// runner's per-frame output and final counters with golden hashes taken
+// before the memo existed, and hold the memoized runner to a loop that
+// replays every frame.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <ios>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -216,6 +219,175 @@ TEST(FrameMemo, MixedFleetMatchesGoldenHash) {
     h = fnv1a(h, v, sizeof v);
   }
   EXPECT_EQ(h, 0x9b821cabd6b15221ull) << hex(h);
+}
+
+// --- the memo against a replay of every frame ----------------------------------
+
+struct FrameOut {
+  image::ImageF fused;
+  sched::StageTimes times, pl_times;
+};
+
+// TimedFusionRunner without its memo: every frame replays the accounting,
+// with the runner's phase transitions and prep charge.
+std::vector<FrameOut> run_unmemoized(sched::TransformBackend& backend,
+                                     const std::vector<sched::FramePair>& frames) {
+  std::optional<dwt::FusionPlan> plan;
+  std::vector<FrameOut> out;
+  for (const sched::FramePair& p : frames) {
+    if (!plan || plan->rows() != p.visible.rows() ||
+        plan->cols() != p.visible.cols()) {
+      plan.emplace(p.visible.rows(), p.visible.cols(), dwt::TransformConfig{});
+    }
+    FrameOut f;
+    backend.begin_frame();
+    backend.set_phase(sched::Phase::kPrep);
+    backend.charge(backend.prep_time(static_cast<int>(p.visible.size() + p.thermal.size())));
+    f.fused = plan->run(p.visible, p.thermal, backend.line_filter());
+    dwt::FusionPlan::StageHooks hooks;
+    hooks.before_forward = [&] { backend.set_phase(sched::Phase::kForward); };
+    hooks.before_fusion = [&] { backend.set_phase(sched::Phase::kFusion); };
+    hooks.before_inverse = [&] { backend.set_phase(sched::Phase::kInverse); };
+    plan->account(backend.line_filter(), hooks);
+    backend.finish_frame();
+    f.times = backend.frame_times();
+    f.pl_times = backend.frame_pl_times();
+    out.push_back(std::move(f));
+  }
+  return out;
+}
+
+bool same_times(const sched::StageTimes& a, const sched::StageTimes& b) {
+  return a.prep == b.prep && a.forward == b.forward && a.fusion == b.fusion &&
+         a.inverse == b.inverse;
+}
+
+bool same_bits(const image::ImageF& a, const image::ImageF& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// A serial accelerator's busy and stall totals sum frame by frame under the
+// memo and line by line in the replay, so they agree to rounding only.
+void expect_close_totals(const sched::TransformBackend& a,
+                         const sched::TransformBackend& b, const std::string& at) {
+  const driver::WaveletAccelerator* x = nullptr;
+  const driver::WaveletAccelerator* y = nullptr;
+  if (const auto* f = dynamic_cast<const sched::FpgaBackend*>(&a)) {
+    x = &f->accelerator();
+    y = &dynamic_cast<const sched::FpgaBackend&>(b).accelerator();
+  } else if (const auto* f = dynamic_cast<const sched::AdaptiveBackend*>(&a)) {
+    x = &f->accelerator();
+    y = &dynamic_cast<const sched::AdaptiveBackend&>(b).accelerator();
+  }
+  if (!x) return;
+  EXPECT_NEAR(x->busy_time().sec(), y->busy_time().sec(),
+              1e-12 * y->busy_time().sec()) << at;
+  EXPECT_NEAR(x->stall_time().sec(), y->stall_time().sec(),
+              1e-12 * y->stall_time().sec()) << at;
+}
+
+// All five backends at 1, 2 and 8 host threads, FPGA+batch with stream
+// tracing off and on: fused bits, per-frame times, final counters and the
+// captured op lists of the memoized runner equal a replay of every frame.
+TEST(FrameMemo, MemoizedRunnerMatchesAReplayOfEveryFrame) {
+  const sched::BackendKind kinds[] = {
+      sched::BackendKind::kArm, sched::BackendKind::kNeon,
+      sched::BackendKind::kFpga, sched::BackendKind::kFpgaBatched,
+      sched::BackendKind::kAdaptive};
+  const std::vector<Sequence> seqs = sequences();
+  for (const int threads : {1, 2, 8}) {
+    for (const sched::BackendKind kind : kinds) {
+      const bool batched = kind == sched::BackendKind::kFpgaBatched;
+      for (int trace = 0; trace < (batched ? 2 : 1); ++trace) {
+        for (const Sequence& seq : seqs) {
+          const std::string at = std::string(sched::backend_name(kind)) + " " +
+                                 seq.name + " threads=" + std::to_string(threads) +
+                                 " trace=" + std::to_string(trace);
+          sched::RunConfig run;
+          run.host.threads = threads;
+          run.batching.sg_chain_len = 8;
+          const auto memo_backend = sched::make_backend(kind, run);
+          const auto replay_backend = sched::make_backend(kind, run);
+          auto* memo_batched = dynamic_cast<sched::BatchedFpgaBackend*>(memo_backend.get());
+          auto* replay_batched =
+              dynamic_cast<sched::BatchedFpgaBackend*>(replay_backend.get());
+          if (trace) {
+            memo_batched->enable_stream_trace();
+            replay_batched->enable_stream_trace();
+          }
+          sched::TimedFusionRunner runner(*memo_backend);
+          const std::vector<FrameOut> want = run_unmemoized(*replay_backend, seq.frames);
+          for (std::size_t f = 0; f < seq.frames.size(); ++f) {
+            const sched::FrameRunResult got = runner.run_frame_pair(
+                seq.frames[f].visible, seq.frames[f].thermal);
+            EXPECT_TRUE(same_bits(got.fused, want[f].fused)) << at << " frame " << f;
+            EXPECT_TRUE(same_times(got.times, want[f].times)) << at << " frame " << f;
+            EXPECT_TRUE(same_times(got.pl_times, want[f].pl_times))
+                << at << " frame " << f;
+          }
+          const Counters a = counters_of(*memo_backend);
+          const Counters b = counters_of(*replay_backend);
+          EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << at;
+          expect_close_totals(*memo_backend, *replay_backend, at);
+          if (trace) {
+            const sched::detail::FrameOpLists got = memo_batched->take_stream_trace();
+            const sched::detail::FrameOpLists want_ops = replay_batched->take_stream_trace();
+            ASSERT_EQ(got.frames(), want_ops.frames()) << at;
+            EXPECT_EQ(got.lists.size(), want_ops.lists.size()) << at;
+            for (int f = 0; f < got.frames(); ++f) {
+              EXPECT_TRUE(got[f] == want_ops[f]) << at << " op list of frame " << f;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A backend that counts its accounting calls.
+class CountingBackend : public sched::TransformBackend {
+ public:
+  const char* name() const override { return "counting"; }
+  power::ComputeMode compute_mode() const override {
+    return power::ComputeMode::kArmOnly;
+  }
+  dwt::LineFilter& line_filter() override { return filter_; }
+  long long calls() const { return filter_.calls; }
+
+ private:
+  struct Filter : dwt::LineFilter {
+    void barrier() override { ++calls; }
+    void account_analyze(int, int) override { ++calls; }
+    void account_synthesize(int, int) override { ++calls; }
+    void account_magnitude(int) override { ++calls; }
+    void account_select(int) override { ++calls; }
+    long long calls = 0;
+  } filter_;
+};
+
+// One replay per (dims, key): a stream of one size replays its first frame
+// only; a new size starts an empty memo, so alternating sizes replay every
+// frame.
+TEST(FrameMemo, ReplaysOneFramePerShapeAndKey) {
+  const auto big = sched::make_sweep_frames({88, 72}, 4);
+  const auto small = sched::make_sweep_frames({33, 25}, 1);
+  CountingBackend once;
+  CountingBackend reference;
+  dwt::FusionPlan(72, 88, dwt::TransformConfig{}).account(reference.line_filter());
+  const long long per_frame = reference.calls();
+  ASSERT_GT(per_frame, 0);
+
+  sched::TimedFusionRunner runner(once);
+  for (const sched::FramePair& p : big) runner.run_frame_pair(p.visible, p.thermal);
+  EXPECT_EQ(once.calls(), per_frame);
+
+  runner.run_frame_pair(small[0].visible, small[0].thermal);
+  runner.run_frame_pair(big[0].visible, big[0].thermal);
+  runner.run_frame_pair(big[1].visible, big[1].thermal);
+  CountingBackend small_reference;
+  dwt::FusionPlan(25, 33, dwt::TransformConfig{}).account(small_reference.line_filter());
+  EXPECT_EQ(once.calls(), 2 * per_frame + small_reference.calls());
 }
 
 }  // namespace
