@@ -26,6 +26,12 @@ std::vector<FramePair> make_sweep_frames(const FrameSize& size, int count) {
   pairs.reserve(count);
   const int rows = size.height;
   const int cols = size.width;
+  // The visible texture is separable: one sine per column and one cosine
+  // per row, tabulated once for every frame.
+  std::vector<float> tex_col(static_cast<std::size_t>(cols));
+  std::vector<float> tex_row(static_cast<std::size_t>(rows));
+  for (int c = 0; c < cols; ++c) tex_col[static_cast<std::size_t>(c)] = std::sin(0.55f * c);
+  for (int r = 0; r < rows; ++r) tex_row[static_cast<std::size_t>(r)] = std::cos(0.35f * r);
   for (int f = 0; f < count; ++f) {
     Rng rng(0x5eedull * (f + 1) + 13u * rows + 7u * cols);
     FramePair pair;
@@ -43,7 +49,8 @@ std::vector<FramePair> make_sweep_frames(const FrameSize& size, int count) {
       for (int c = 0; c < cols; ++c) {
         // Visible: illumination ramp + texture + structures + sensor noise.
         float vis = 0.35f + 0.25f * static_cast<float>(r) / rows;
-        vis += 0.08f * std::sin(0.55f * c) * std::cos(0.35f * r);
+        vis += 0.08f * tex_col[static_cast<std::size_t>(c)] *
+               tex_row[static_cast<std::size_t>(r)];
         if (c < edge_col) vis += 0.18f;
         if (r > win_r0 && r < win_r1 && c > win_c0 && c < win_c1) vis -= 0.22f;
         vis += rng.next_float(-0.02f, 0.02f);
