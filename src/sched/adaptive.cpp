@@ -355,7 +355,8 @@ dwt::LineFilter& AdaptiveBackend::line_filter() { return *filter_; }
 
 struct AdaptiveBackend::Record : FrameRecord {
   AcceleratorShare accel;
-  long long fpga_lines = 0, simd_lines = 0;  // routed by the frame
+  // Lines the frame routed; until end_record(), the router's counts before it.
+  long long fpga_lines = 0, simd_lines = 0;
 };
 
 std::unique_ptr<TransformBackend::FrameRecord> AdaptiveBackend::begin_record() {

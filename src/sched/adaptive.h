@@ -123,6 +123,7 @@ class TransformBackend {
   // Frame prep/conversion runs on the ARM regardless of engine.
   SimDuration prep_time(int pixels) const;
 
+ protected:
   // --- per-shape frame memo (TimedFusionRunner) ---------------------------
   //
   // Every account_* cost is a function of line shapes only, so a frame's
@@ -135,6 +136,9 @@ class TransformBackend {
   // leave them.
   class FrameRecord {
    public:
+    FrameRecord() = default;
+    FrameRecord(const FrameRecord&) = delete;
+    FrameRecord& operator=(const FrameRecord&) = delete;
     virtual ~FrameRecord() = default;
 
    private:
@@ -148,8 +152,8 @@ class TransformBackend {
   virtual std::unique_ptr<FrameRecord> begin_record();
   virtual void end_record(FrameRecord* record);
   virtual void apply_record(const FrameRecord& record);
+  friend class TimedFusionRunner;
 
- protected:
   explicit TransformBackend(const HostConfig& host = {})
       : host_pool_(host::pool(host)) {}
   void ledger_add(Phase p, SimDuration d);
@@ -235,6 +239,7 @@ class FpgaBackend : public TransformBackend {
 
   const driver::WaveletAccelerator& accelerator() const { return accel_; }
 
+ protected:
   std::unique_ptr<FrameRecord> begin_record() override;
   void end_record(FrameRecord* record) override;
   void apply_record(const FrameRecord& record) override;
@@ -290,6 +295,7 @@ class AdaptiveBackend : public TransformBackend {
   const LineRouter& router() const { return router_; }
   const driver::WaveletAccelerator& accelerator() const { return accel_; }
 
+ protected:
   std::unique_ptr<FrameRecord> begin_record() override;
   void end_record(FrameRecord* record) override;
   void apply_record(const FrameRecord& record) override;

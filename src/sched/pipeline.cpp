@@ -127,6 +127,7 @@ detail::FrameOpLists BatchedFpgaBackend::take_stream_trace() {
 }
 
 struct BatchedFpgaBackend::Record : FrameRecord {
+  // The frame's counter share; until end_record(), the counters before it.
   driver::PipelinedWaveletAccelerator::Counters share;
   bool barrier_pending = false;  // at the frame's end
   int op_list = -1;              // tracing: the frame's stored op list

@@ -70,6 +70,7 @@ class BatchedFpgaBackend : public TransformBackend {
   void enable_stream_trace();
   detail::FrameOpLists take_stream_trace();
 
+ protected:
   // Frame memo. The carried state a frame's accounting reads is the
   // ping-pong parity of the driver calls and a barrier no batch has followed
   // yet (it sets the first traced batch's after_barrier); every time-valued
@@ -80,7 +81,6 @@ class BatchedFpgaBackend : public TransformBackend {
   void end_record(FrameRecord* record) override;
   void apply_record(const FrameRecord& record) override;
 
- protected:
   void on_begin_frame() override;
   void on_phase_exit(Phase old_phase) override;
 
