@@ -25,6 +25,7 @@
 // order, so fused outputs stay bit-identical with every other backend.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 

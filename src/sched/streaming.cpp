@@ -143,20 +143,18 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
   };
   // Per stream: whether any of its op lists holds a kPlBlock, the one kind
   // of op that starts on an engine instead of on the stream's core.
+  auto holds_pl_block = [](const std::vector<StreamOp>& ops) {
+    return std::any_of(ops.begin(), ops.end(), [](const StreamOp& op) {
+      return op.kind == StreamOp::Kind::kPlBlock;
+    });
+  };
   std::vector<char> has_pl_block(static_cast<std::size_t>(ns), 0);
-  bool any_pl_block = false;
   for (int s = 0; s < ns; ++s) {
     const StreamingStreamInput& in = stream_at(s);
-    auto holds_pl_block = [](const std::vector<StreamOp>& ops) {
-      return std::any_of(ops.begin(), ops.end(), [](const StreamOp& op) {
-        return op.kind == StreamOp::Kind::kPlBlock;
-      });
-    };
-    const bool pl = holds_pl_block(in.spill_ops) ||
-                    std::any_of(in.op_lists.lists.begin(), in.op_lists.lists.end(),
-                                holds_pl_block);
-    has_pl_block[static_cast<std::size_t>(s)] = pl;
-    any_pl_block = any_pl_block || pl;
+    has_pl_block[static_cast<std::size_t>(s)] =
+        holds_pl_block(in.spill_ops) ||
+        std::any_of(in.op_lists.lists.begin(), in.op_lists.lists.end(),
+                    holds_pl_block);
   }
   auto core_of = [&](int s) { return out.cores[static_cast<std::size_t>(s % cores)]; };
   auto frame_ops = [&](int s, int f) -> const std::vector<StreamOp>& {
@@ -252,21 +250,11 @@ FleetSchedule schedule_streaming(const std::vector<StreamingStreamInput>& stream
   for (;;) {
     int bs = -1, bframe = -1;
     SimDuration bready, bstart;
-    SimDuration earliest_engine;
-    if (any_pl_block && steal_engines) {
-      earliest_engine = out.timeline.free_at(out.engines[0]);
-      for (const ResourceId e : out.engines) {
-        earliest_engine = std::min(earliest_engine, out.timeline.free_at(e));
-      }
-    }
     for (int s = 0; s < ns; ++s) {
       SimDuration bound = out.timeline.free_at(core_of(s));
       if (has_pl_block[static_cast<std::size_t>(s)]) {
-        const SimDuration engine_free =
-            steal_engines ? earliest_engine
-                          : out.timeline.free_at(out.engines[static_cast<std::size_t>(
-                                pick_engine(s))]);
-        bound = std::min(bound, engine_free);
+        bound = std::min(bound, out.timeline.free_at(out.engines[static_cast<std::size_t>(
+                                    pick_engine(s))]));
       }
       if (bs >= 0 && bstart <= bound) continue;
       StreamState& st = state[static_cast<std::size_t>(s)];
