@@ -7,7 +7,6 @@
 // replays every frame.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <ios>
