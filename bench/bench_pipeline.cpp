@@ -202,25 +202,43 @@ int main(int argc, char** argv) {
                .set("modeled_identical", modeled_identical));
 
   // --- 5: host-only fusion cost ---------------------------------------------
-  // Repeated fuse_frames on the stream's first pair with no modeled backend,
-  // so the host transform cost is not diluted by the event-queue bookkeeping
-  // that dominates run_pipelined's host time. Wall clock only.
-  std::printf("\n[5] host-only fuse_frames at 88x72, %d thread(s)\n\n",
-              config.host.threads);
+  // Repeated fuse_frames on one frame pair with no modeled backend, so the
+  // host transform cost is not diluted by the event-queue bookkeeping that
+  // dominates run_pipelined's host time: an 88x72 pair, and the large frames
+  // whose level 0 runs in stripes (640x480, 1280x720). Wall clock only; each
+  // size's wall_s_per_pair is tracked by perf_history.py.
+  std::printf("\n[5] host-only fuse_frames, %d thread(s)\n\n", config.host.threads);
   dwt::KernelLineFilter host_filter(simd::active_kernels(), config.host);
-  auto fuse_once = [&] {
-    (void)fusion::fuse_frames(stream[0].visible, stream[0].thermal, config.fuse,
-                              host_filter);
+  auto host_us_per_pair = [&](const sched::FramePair& pair, int iters) {
+    auto fuse_once = [&] {
+      (void)fusion::fuse_frames(pair.visible, pair.thermal, config.fuse, host_filter);
+    };
+    for (int i = 0; i < std::max(1, iters / 4); ++i) fuse_once();  // warm the arenas
+    return wall_seconds([&] {
+             for (int i = 0; i < iters; ++i) fuse_once();
+           }) / iters * 1e6;
   };
-  for (int i = 0; i < 10; ++i) fuse_once();  // warm the arenas
   const int host_iters = std::max(20, 10 * options.frames);
-  const double host_us = wall_seconds([&] {
-    for (int i = 0; i < host_iters; ++i) fuse_once();
-  }) / host_iters * 1e6;
-  TextTable host_only({"path", "host-only (us/pair)"});
-  host_only.add_row({"fused plan", TextTable::num(host_us, 1)});
+  double host_us = 0.0;  // at 88x72, for [5b]
+  TextTable host_only({"frame", "host-only (us/pair)", "ns/px"});
+  json::Value jframes = json::Value::object();
+  for (const sched::FrameSize size : {sched::FrameSize{88, 72},
+                                      sched::FrameSize{640, 480},
+                                      sched::FrameSize{1280, 720}}) {
+    const int iters = std::max(3, host_iters * 88 * 72 / size.pixels());
+    const double us = host_us_per_pair(sched::make_sweep_frames(size, 1)[0], iters);
+    if (size.width == 88) host_us = us;
+    host_only.add_row({size.label(), TextTable::num(us, 1),
+                       TextTable::num(us * 1e3 / size.pixels(), 2)});
+    jframes.set(size.label(), json::Value::object()
+                                  .set("us_per_pair", us)
+                                  .set("wall_s_per_pair", us * 1e-6));
+  }
   std::printf("%s\n", host_only.to_string().c_str());
-  jrun.set("host_only_fuse", json::Value::object().set("us_per_pair", host_us));
+  json::Value jhost = json::Value::object();
+  jhost.set("us_per_pair", host_us);
+  jhost.set("frames", std::move(jframes));
+  jrun.set("host_only_fuse", std::move(jhost));
 
   // --- 5b: estimated DRAM traffic and arithmetic intensity -------------------
   // Derived from the pass structure (pass counts x band sizes, 4 bytes per

@@ -317,13 +317,13 @@ TransformLevels::TransformLevels(int rows, int cols, const TransformConfig& conf
 // slab, edge-replicated to the padded rp x cp and periodically extended as
 // whole rows; one analyze_mag_ml call then filters both sides (re = side 0,
 // im = side 1, no magnitudes), reading one shared slab when the sides share
-// a source. The four lane outputs are transposed into rows
-// [lead, lead + rp), and extend_rows completes the periodic extension
-// around them.
-void forward_row_pass(const TransformLevels& t, int level,
-                      const float* const src[2], int src_stride,
-                      const int row_tree[2], const simd::KernelSet& k,
-                      ThreadPool* pool, float* const lo[2], float* const hi[2]) {
+// a source. The four lane outputs are transposed into consecutive rows of
+// the destination planes.
+void forward_row_slabs(const TransformLevels& t, int level,
+                       const float* const src[2], int src_stride,
+                       const int row_tree[2], const simd::KernelSet& k,
+                       ThreadPool* pool, int b0, int b1, float* const lo[2],
+                       float* const hi[2]) {
   const LevelDims& d = t.dims[level];
   const FilterBank* const bank[2] = {&t.banks[row_tree[0]][level],
                                      &t.banks[row_tree[1]][level]};
@@ -332,7 +332,7 @@ void forward_row_pass(const TransformLevels& t, int level,
       bank[0]->analysis_offset, bank[1]->analysis_offset, d.cp, taps);
   const int sources = src[0] == src[1] ? 1 : 2;
   float* const dst[4] = {lo[0], hi[0], lo[1], hi[1]};
-  auto block = [&](int b0, int b1) {
+  auto block = [&](int first, int last) {
     ArenaScope scratch;
     float* slab[2] = {};
     for (int s = 0; s < sources; ++s) {
@@ -341,7 +341,7 @@ void forward_row_pass(const TransformLevels& t, int level,
     if (sources == 1) slab[1] = slab[0];
     float* out[4] = {};
     for (float*& o : out) o = scratch.alloc(static_cast<size_t>(d.hc) * kLineBlock);
-    for (int b = b0; b < b1; ++b) {
+    for (int b = first; b < last; ++b) {
       const int r = b * kLineBlock;
       const int nb = std::min(kLineBlock, d.rp - r);
       // Rows past r - 1 (at most the block's last lane, as rp is even)
@@ -370,12 +370,29 @@ void forward_row_pass(const TransformLevels& t, int level,
                        out[1], out[2], out[3], nullptr, nullptr, kLineBlock);
       for (int q = 0; q < 4; ++q) {
         simd::transpose_f32(out[q], d.hc, nb, kLineBlock,
-                            dst[q] + static_cast<size_t>(d.lead + r) * d.hc, d.hc);
+                            dst[q] + static_cast<size_t>(r - b0 * kLineBlock) * d.hc,
+                            d.hc);
       }
     }
   };
-  parallel_chunks(pool, 0, blocks_of(d.rp), block);
-  for (float* plane : dst) extend_rows(plane, d.hc, d.lead, d.rp, d.ext_rows);
+  parallel_chunks(pool, b0, b1, block);
+}
+
+// All slabs into rows [lead, lead + rp); extend_rows completes the periodic
+// extension around them.
+void forward_row_pass(const TransformLevels& t, int level,
+                      const float* const src[2], int src_stride,
+                      const int row_tree[2], const simd::KernelSet& k,
+                      ThreadPool* pool, float* const lo[2], float* const hi[2]) {
+  const LevelDims& d = t.dims[level];
+  const size_t at = static_cast<size_t>(d.lead) * d.hc;
+  float* const lo_at[2] = {lo[0] + at, lo[1] + at};
+  float* const hi_at[2] = {hi[0] + at, hi[1] + at};
+  forward_row_slabs(t, level, src, src_stride, row_tree, k, pool, 0,
+                    blocks_of(d.rp), lo_at, hi_at);
+  for (float* plane : {lo[0], hi[0], lo[1], hi[1]}) {
+    extend_rows(plane, d.hc, d.lead, d.rp, d.ext_rows);
+  }
 }
 
 // Lane l of a call is image column c + l, read straight from the extended
@@ -407,12 +424,13 @@ void analysis_col_pass(const TransformLevels& t, int level,
 }
 
 // select_synth_ml with every *_b null builds each column's periodic
-// interleaved extension and synthesizes it, straight into the row-major
-// rowlo/rowhi planes.
-void synthesis_col_pass(const TransformLevels& t, int level, int col_tree,
-                        const float* ll, const float* lh, const float* hl,
-                        const float* hh, int stride, const simd::KernelSet& k,
-                        ThreadPool* pool, float* rowlo, float* rowhi) {
+// interleaved extension of `pairs` pairs from synth_offset and synthesizes
+// it, straight into the row-major rowlo/rowhi planes.
+void synthesis_col_window(const TransformLevels& t, int level, int col_tree,
+                          const float* ll, const float* lh, const float* hl,
+                          const float* hh, int stride, int pairs, int synth_offset,
+                          const simd::KernelSet& k, ThreadPool* pool, float* rowlo,
+                          float* rowhi) {
   const LevelDims& d = t.dims[level];
   const FilterBank& b = t.banks[col_tree][level];
   parallel_chunks(pool, 0, blocks_of(d.hc), [&](int c0, int c1) {
@@ -420,25 +438,35 @@ void synthesis_col_pass(const TransformLevels& t, int level, int col_tree,
       const int c = bi * kLineBlock;
       const int nb = std::min(kLineBlock, d.hc - c);
       k.select_synth_ml(ll + c, nullptr, nullptr, nullptr, lh + c, nullptr,
-                        nullptr, nullptr, stride, nb, d.hr, b.ca.data(),
-                        b.cb.data(), b.synth_taps(), b.synthesis_offset,
-                        rowlo + c, d.hc);
+                        nullptr, nullptr, stride, nb, pairs, b.ca.data(),
+                        b.cb.data(), b.synth_taps(), synth_offset, rowlo + c, d.hc);
       k.select_synth_ml(hl + c, nullptr, nullptr, nullptr, hh + c, nullptr,
-                        nullptr, nullptr, stride, nb, d.hr, b.ca.data(),
-                        b.cb.data(), b.synth_taps(), b.synthesis_offset,
-                        rowhi + c, d.hc);
+                        nullptr, nullptr, stride, nb, pairs, b.ca.data(),
+                        b.cb.data(), b.synth_taps(), synth_offset, rowhi + c, d.hc);
     }
   });
 }
 
-// Over kLineBlock-row slabs of the r rows kept (a padded last row only
-// feeds the crop): both inputs are transposed into lane slabs,
-// select_synth_ml with every *_b null synthesizes each lane, and the first
-// c samples of each lane are transposed back.
+void synthesis_col_pass(const TransformLevels& t, int level, int col_tree,
+                        const float* ll, const float* lh, const float* hl,
+                        const float* hh, int stride, const simd::KernelSet& k,
+                        ThreadPool* pool, float* rowlo, float* rowhi) {
+  synthesis_col_window(t, level, col_tree, ll, lh, hl, hh, stride, t.dims[level].hr,
+                       t.banks[col_tree][level].synthesis_offset, k, pool, rowlo,
+                       rowhi);
+}
+
+// Over kLineBlock-row slabs of the rows kept (a padded last row only feeds
+// the crop): both inputs are transposed into lane slabs, select_synth_ml
+// with every *_b null synthesizes each lane, and the first c samples of each
+// lane land in `out` — transposed straight in, or, when the sink combines
+// trees, transposed into an L1 tile of kCombineCols columns and combined
+// from there.
 void synthesis_row_pass(const TransformLevels& t, int level, int row_tree,
-                        const float* rowlo, const float* rowhi,
+                        const float* rowlo, const float* rowhi, int rows,
                         const simd::KernelSet& k, ThreadPool* pool, float* out,
-                        int out_stride) {
+                        int out_stride, const RowSink& sink) {
+  constexpr int kCombineCols = 256;
   const LevelDims& d = t.dims[level];
   const FilterBank& bank = t.banks[row_tree][level];
   auto block = [&](int b0, int b1) {
@@ -446,9 +474,12 @@ void synthesis_row_pass(const TransformLevels& t, int level, int row_tree,
     float* lo = scratch.alloc(static_cast<size_t>(d.hc) * kLineBlock);
     float* hi = scratch.alloc(static_cast<size_t>(d.hc) * kLineBlock);
     float* y = scratch.alloc(static_cast<size_t>(d.cp) * kLineBlock);
+    float* tile = sink.mode == RowSink::kStore
+                      ? nullptr
+                      : scratch.alloc(static_cast<size_t>(kLineBlock) * kCombineCols);
     for (int b = b0; b < b1; ++b) {
       const int r = b * kLineBlock;
-      const int nb = std::min(kLineBlock, d.r - r);
+      const int nb = std::min(kLineBlock, rows - r);
       simd::transpose_f32(rowlo + static_cast<size_t>(r) * d.hc, nb, d.hc, d.hc, lo,
                           kLineBlock);
       simd::transpose_f32(rowhi + static_cast<size_t>(r) * d.hc, nb, d.hc, d.hc, hi,
@@ -457,11 +488,30 @@ void synthesis_row_pass(const TransformLevels& t, int level, int row_tree,
                         nullptr, kLineBlock, nb, d.hc, bank.ca.data(),
                         bank.cb.data(), bank.synth_taps(), bank.synthesis_offset,
                         y, kLineBlock);
-      simd::transpose_f32(y, d.c, nb, kLineBlock,
-                          out + static_cast<size_t>(r) * out_stride, out_stride);
+      float* o = out + static_cast<size_t>(r) * out_stride;
+      if (sink.mode == RowSink::kStore) {
+        simd::transpose_f32(y, d.c, nb, kLineBlock, o, out_stride);
+        continue;
+      }
+      for (int j0 = 0; j0 < d.c; j0 += kCombineCols) {
+        const int w = std::min(kCombineCols, d.c - j0);
+        simd::transpose_f32(y + static_cast<size_t>(j0) * kLineBlock, w, nb,
+                            kLineBlock, tile, kCombineCols);
+        for (int l = 0; l < nb; ++l) {
+          const size_t row = static_cast<size_t>(l) * out_stride + j0;
+          float* acc = o + row;
+          const float* v = tile + static_cast<size_t>(l) * kCombineCols;
+          if (sink.mode == RowSink::kAdd) {
+            for (int i = 0; i < w; ++i) acc[i] += v[i];
+          } else {
+            const float* q = sink.other + static_cast<size_t>(r) * out_stride + row;
+            for (int i = 0; i < w; ++i) acc[i] = ((acc[i] + v[i]) + q[i]) * 0.25f;
+          }
+        }
+      }
     }
   };
-  parallel_chunks(pool, 0, blocks_of(d.r), block);
+  parallel_chunks(pool, 0, blocks_of(rows), block);
 }
 
 void account_forward_tree(const TransformLevels& t, int row_tree, int col_tree,
@@ -638,7 +688,7 @@ ImageF detail::inverse_tree_numerics(const TransformLevels& t,
                        b.hh.data(), d.hc, k, pool, rowlo, rowhi);
     float* rec =
         level == 0 ? out.data() : scope.alloc(static_cast<size_t>(d.r) * d.c);
-    synthesis_row_pass(t, level, row_tree, rowlo, rowhi, k, pool, rec, d.c);
+    synthesis_row_pass(t, level, row_tree, rowlo, rowhi, d.r, k, pool, rec, d.c);
     ll = rec;
   }
   return out;

@@ -250,10 +250,19 @@ struct TransformLevels {
   std::vector<LevelDims> dims;       // [level]
 };
 
-// Both sides' row pass of `level` (side s: the r x c plane src[s] at row
-// stride src_stride, row tree row_tree[s]), edge-replicated to rp x cp on
-// the fly, into extended row-pass planes lo[s]/hi[s] of ext_rows x hc, the
-// pass output at rows [lead, lead + rp).
+// Slabs [b0, b1) of both sides' row pass of `level` (side s: the r x c
+// plane src[s] at row stride src_stride, row tree row_tree[s]), edge-
+// replicated to rp x cp on the fly. Slab b covers padded rows
+// [kMaxLinesPerCall * b, ...) up to rp; padded row x lands in row
+// x - kMaxLinesPerCall * b0 of lo[s]/hi[s], which are hc wide.
+void forward_row_slabs(const TransformLevels& t, int level,
+                       const float* const src[2], int src_stride,
+                       const int row_tree[2], const simd::KernelSet& k,
+                       ThreadPool* pool, int b0, int b1, float* const lo[2],
+                       float* const hi[2]);
+
+// The whole row pass of `level` into extended row-pass planes lo[s]/hi[s]
+// of ext_rows x hc, the pass output at rows [lead, lead + rp).
 void forward_row_pass(const TransformLevels& t, int level,
                       const float* const src[2], int src_stride,
                       const int row_tree[2], const simd::KernelSet& k,
@@ -276,13 +285,33 @@ void synthesis_col_pass(const TransformLevels& t, int level, int col_tree,
                         const float* hh, int stride, const simd::KernelSet& k,
                         ThreadPool* pool, float* rowlo, float* rowhi);
 
-// Row synthesis of `level` with row tree row_tree: rowlo/rowhi (rp x hc)
-// into the level's input dims, r x c at row stride out_stride (the padding
-// is cropped).
+// synthesis_col_pass over a window: each column's periodic extension is
+// `pairs` pairs of the band planes from their row 0, started at stream
+// sample (k - synth_offset) mod 2 * pairs, into 2 * pairs rows of
+// rowlo/rowhi. With pairs = hr and the bank's synthesis_offset it is
+// synthesis_col_pass.
+void synthesis_col_window(const TransformLevels& t, int level, int col_tree,
+                          const float* ll, const float* lh, const float* hl,
+                          const float* hh, int stride, int pairs, int synth_offset,
+                          const simd::KernelSet& k, ThreadPool* pool, float* rowlo,
+                          float* rowhi);
+
+// How synthesis_row_pass lands a synthesized row y in `out`: stored, added
+// onto what out holds (out += y), or, for the last tree of a four-tree
+// reconstruction, out = ((out + y) + other) * 0.25f with `other` read at
+// out's offsets — the staged tree-order sum, then the scale.
+struct RowSink {
+  enum Mode { kStore, kAdd, kFinish } mode = kStore;
+  const float* other = nullptr;
+};
+
+// Row synthesis of `level` with row tree row_tree: the first `rows`
+// (<= r) rows of rowlo/rowhi (hc wide) into rows of `out` at row stride
+// out_stride, cropped to the level's c columns.
 void synthesis_row_pass(const TransformLevels& t, int level, int row_tree,
-                        const float* rowlo, const float* rowhi,
+                        const float* rowlo, const float* rowhi, int rows,
                         const simd::KernelSet& k, ThreadPool* pool, float* out,
-                        int out_stride);
+                        int out_stride, const RowSink& sink = {});
 
 // Replay one tree's forward / inverse account_*/barrier() sequence — the
 // exact sequence a serial transform would interleave with its numerics,

@@ -16,9 +16,14 @@
 //     (KernelSet::analyze_mag_ml), and at the deepest level the select rule
 //     is deferred into the inverse synthesis read (select_synth_ml), so the
 //     pass count over band data drops from ~10 to ~3 per frame pair;
-//   * the level-0 row passes are shared by both complex pairs, and the
-//     inverse reads each deeper level's reconstruction in place by stride;
-//   * all scratch comes from the per-thread arena.
+//   * level 0 — the largest — runs in horizontal stripes sized to stay in
+//     L2: per stripe, only the row-pass rows its column reads need (shared
+//     by both complex pairs), then both pairs' column passes; the inverse
+//     synthesizes each tree's level 0 stripe by stripe and folds the
+//     four-tree combine into its row synthesis (fused_plan.cpp, DESIGN.md
+//     §7);
+//   * the inverse reads each deeper level's reconstruction in place by
+//     stride, and all scratch comes from the per-thread arena.
 //
 // FusionPlan is the only implementation of fuse_frames and of the timed
 // runners' frame pair, for every KernelSet (float flavours and the fixed-
@@ -77,14 +82,13 @@ class FusionPlan {
   void account(LineFilter& filter, const StageHooks& hooks = {}) const;
 
   // Estimated DRAM traffic per frame pair, derived from the pass structure
-  // (each plane-sized read/write a pass makes, x4 bytes; block scratch that
-  // stays cache-resident is not charged). `staged_bytes` models a staged
-  // fusion whose transforms transpose every plane around their column
-  // passes; `fused_bytes` this plan; `flops` counts the transform MACs (x2)
+  // (each plane-sized read/write a pass makes, x4 bytes; block scratch and
+  // stripe windows that stay cache-resident are not charged). `staged_bytes`
+  // models a staged fusion whose transforms transpose every plane around
+  // their column passes; `fused_bytes` this plan as run() runs it (no plane
+  // transposes, level 0 in stripes); `flops` counts the transform MACs (x2)
   // plus the fusion-rule ops, for arithmetic-intensity reporting in
-  // bench_pipeline --json. Both byte models still charge plane transposes no
-  // host path runs any more; they are kept unchanged so the drift-gated
-  // transform_traffic baseline does not move.
+  // bench_pipeline --json.
   struct Traffic {
     double staged_bytes = 0.0;
     double fused_bytes = 0.0;
@@ -96,7 +100,9 @@ class FusionPlan {
   detail::TransformLevels t_;
   // Per level: the row stride of the band planes (the next level's cp, so
   // the inverse reads the deeper reconstruction at the bands' stride; hc at
-  // the deepest level), and the column-pass output rows per strip.
+  // the deepest level), and the column-pass output rows per strip — at
+  // level 0 also the height of run()'s stripes, in output rows (forward)
+  // and output pairs (inverse).
   std::vector<int> bs_, strip_;
 };
 

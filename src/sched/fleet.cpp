@@ -1,6 +1,7 @@
 #include "src/sched/fleet.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -305,7 +306,10 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
   // Pass 1, per stream: serial numerics through the stream's factory-built
   // backend; per-frame stage costs split into the PS-resident part and the
   // PL remainder (exactly run_pipelined's measurement pass). The NEON spill
-  // costs are shape-only, so one probed frame covers the whole stream.
+  // costs are shape-only, so one probed frame covers the whole stream, and
+  // one probe covers every stream of its frame size and transform config
+  // (the rest of a RunConfig that NeonBackend reads, the host config, moves
+  // no modeled value).
   std::vector<detail::FleetStreamInput> inputs;
   inputs.reserve(streams.size());
   // Cross-frame streaming: per-stream op lists for the batch-granular
@@ -315,6 +319,12 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
   std::vector<detail::StreamingStreamInput> sinputs;
   if (fleet.cross_frame) sinputs.reserve(streams.size());
   power::ComputeMode mode = power::ComputeMode::kArmOnly;
+  struct SpillProbe {
+    FrameSize size;
+    dwt::TransformConfig transform;
+    std::array<detail::FleetStageCost, 4> cost;
+  };
+  std::vector<SpillProbe> probes;
   for (std::size_t s = 0; s < streams.size(); ++s) {
     const StreamConfig& sc = streams[s];
     detail::FleetStreamInput in;
@@ -358,12 +368,23 @@ FleetResult run_fleet(const std::vector<StreamConfig>& streams,
     const bool cpu_stream = sc.backend == BackendKind::kArm ||
                             sc.backend == BackendKind::kNeon;
     if (fleet.spill_wait_frac > 0.0 && !cpu_stream && frames > 0) {
-      const std::unique_ptr<TransformBackend> neon =
-          make_backend(BackendKind::kNeon, sc.run);
-      TimedFusionRunner neon_runner(*neon, sc.run.fuse);
-      const auto probe = split_stage_costs(
-          neon_runner.run_frame_pair(pairs[0].visible, pairs[0].thermal));
-      in.spill_cost.assign(static_cast<std::size_t>(frames), probe);
+      const FrameSize& size = sc.run.frame_size;
+      const dwt::TransformConfig& tc = sc.run.fuse.transform;
+      auto probe = std::find_if(probes.begin(), probes.end(), [&](const SpillProbe& p) {
+        return p.size.width == size.width && p.size.height == size.height &&
+               p.transform.levels == tc.levels && p.transform.level1 == tc.level1 &&
+               p.transform.higher == tc.higher;
+      });
+      if (probe == probes.end()) {
+        const std::unique_ptr<TransformBackend> neon =
+            make_backend(BackendKind::kNeon, sc.run);
+        TimedFusionRunner neon_runner(*neon, sc.run.fuse);
+        probes.push_back({size, tc,
+                          split_stage_costs(neon_runner.run_frame_pair(
+                              pairs[0].visible, pairs[0].thermal))});
+        probe = probes.end() - 1;
+      }
+      in.spill_cost.assign(static_cast<std::size_t>(frames), probe->cost);
     }
 
     if (fleet.cross_frame) {

@@ -117,6 +117,7 @@ void BatchedFpgaBackend::enable_stream_trace() {
   batch_drained_ = 0;
   cur_ops_.clear();
   trace_frames_ = {};
+  barrier_variant_.clear();
   accel_.set_trace(&batch_trace_);
 }
 
@@ -129,19 +130,20 @@ detail::FrameOpLists BatchedFpgaBackend::take_stream_trace() {
 struct BatchedFpgaBackend::Record : FrameRecord {
   // The frame's counter share; until end_record(), the counters before it.
   driver::PipelinedWaveletAccelerator::Counters share;
-  bool barrier_pending = false;  // at the frame's end
-  int op_list = -1;              // tracing: the frame's stored op list
+  bool barrier_at_start = false;  // a barrier pending at the frame's start
+  bool barrier_pending = false;   // at the frame's end
+  int op_list = -1;               // tracing: the frame's stored op list
 };
 
 std::uint64_t BatchedFpgaBackend::memo_key() const {
   return static_cast<std::uint64_t>(accel_.driver_calls() & 1) |
-         (accel_.barrier_pending() ? 2u : 0u) |
-         (tracing_ ? trace_session_ << 2 : 0u);
+         (tracing_ ? trace_session_ << 1 : 0u);
 }
 
 std::unique_ptr<TransformBackend::FrameRecord> BatchedFpgaBackend::begin_record() {
   auto record = std::make_unique<Record>();
   record->share = accel_.counters();
+  record->barrier_at_start = accel_.barrier_pending();
   return record;
 }
 
@@ -162,8 +164,31 @@ void BatchedFpgaBackend::apply_record(const FrameRecord& record) {
   TransformBackend::apply_record(record);
   const Record& r = static_cast<const Record&>(record);
   on_begin_frame();
+  if (tracing_) {
+    trace_frames_.repeat(accel_.barrier_pending() == r.barrier_at_start
+                             ? r.op_list
+                             : barrier_variant(r.op_list));
+  }
   accel_.skip_frame(r.share, r.barrier_pending);
-  if (tracing_) trace_frames_.repeat(r.op_list);
+}
+
+// A pending barrier at a frame's start (rebase() leaves nothing for it to
+// wait on) marks only the frame's first batch after_barrier, so the frame's
+// op list is the recorded one with that one flag flipped: built once per
+// stored list and trace session.
+int BatchedFpgaBackend::barrier_variant(int list) {
+  for (const auto& [from, to] : barrier_variant_) {
+    if (from == list) return to;
+  }
+  std::vector<detail::StreamOp> ops = trace_frames_.lists[static_cast<std::size_t>(list)];
+  const auto first = std::find_if(ops.begin(), ops.end(), [](const detail::StreamOp& op) {
+    return op.kind == detail::StreamOp::Kind::kBatch;
+  });
+  if (first != ops.end()) first->after_barrier = !first->after_barrier;
+  trace_frames_.lists.push_back(std::move(ops));
+  const int to = static_cast<int>(trace_frames_.lists.size()) - 1;
+  barrier_variant_.emplace_back(list, to);
+  return to;
 }
 
 void BatchedFpgaBackend::drain_trace(Phase stage) {

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/timeline.h"
@@ -73,9 +74,11 @@ class BatchedFpgaBackend : public TransformBackend {
 
  protected:
   // Frame memo. The carried state a frame's accounting reads is the
-  // ping-pong parity of the driver calls and a barrier no batch has followed
-  // yet (it sets the first traced batch's after_barrier); every time-valued
-  // field starts at the frame origin. Tracing is part of the key too, per
+  // ping-pong parity of the driver calls; every time-valued field starts at
+  // the frame origin. A barrier no batch has followed yet changes only the
+  // first traced batch's after_barrier, so it is not part of the key: a hit
+  // that starts with it in the other state replays the recorded op list with
+  // that flag flipped (barrier_variant). Tracing is part of the key, per
   // trace session, so a hit can index the session's stored op lists.
   std::uint64_t memo_key() const override;
   std::unique_ptr<FrameRecord> begin_record() override;
@@ -98,6 +101,10 @@ class BatchedFpgaBackend : public TransformBackend {
   void drain_trace(Phase stage);
   void push_stage_boundary(Phase stage);
 
+  // The index of stored op list `list` with its first batch's after_barrier
+  // flipped, stored on first use in this trace session.
+  int barrier_variant(int list);
+
   Timeline timeline_;
   ResourceId ps_, dma_, pl_;
   driver::PipelinedWaveletAccelerator accel_;
@@ -113,6 +120,7 @@ class BatchedFpgaBackend : public TransformBackend {
   std::size_t batch_drained_ = 0;
   std::vector<detail::StreamOp> cur_ops_;  // the frame being recorded
   detail::FrameOpLists trace_frames_;
+  std::vector<std::pair<int, int>> barrier_variant_;  // (list, its variant)
 };
 
 // --- frame-level pipelining -------------------------------------------------

@@ -100,10 +100,12 @@ TEST(Arena, ThreadArenaIsStable) {
 // full multi-frame pipelined run — forward + inverse DT-CWT, fusion rule,
 // extension fills, tiled transposes — must perform zero arena block
 // allocations. A regression here means some hot loop went back to heap
-// scratch.
+// scratch. 640x64 walks its level 0 in two stripes (window, tail and head
+// buffers, wrapped synthesis windows).
 TEST(ArenaZeroAlloc, SteadyStatePipelineAllocatesNothing) {
   for (const sched::FrameSize size : {sched::FrameSize{40, 40},
-                                      sched::FrameSize{88, 72}}) {
+                                      sched::FrameSize{88, 72},
+                                      sched::FrameSize{640, 64}}) {
     const auto stream = sched::make_sweep_frames(size, 6);
     sched::RunConfig rc;
     {

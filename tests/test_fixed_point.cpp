@@ -121,6 +121,20 @@ TEST(FixedPointFilter, A7FusedImagesMatchGoldenHashes) {
   }
 }
 
+// The fixed-point datapath through a frame whose level 0 runs in two
+// stripes, at several pool widths (under TSan, this is where a column call
+// reading past its stripe's window would race). Pinned on the tree before
+// the stripe walk existed.
+TEST(FixedPointFilter, MultiStripeFusedImageMatchesGoldenHash) {
+  const auto pairs = sched::make_sweep_frames({640, 64}, 1);
+  for (int threads : {1, 2, 4}) {
+    dwt::KernelLineFilter filter(hw::fixed_point_kernels({16, 14}), HostConfig{threads});
+    const std::uint64_t h =
+        fnv1a(fusion::fuse_frames(pairs[0].visible, pairs[0].thermal, {}, filter));
+    EXPECT_EQ(h, 0x71eb3e968db7553cull) << "threads=" << threads << " " << std::hex << h;
+  }
+}
+
 // Standalone forward_dtcwt (every band of every tree) and inverse_dtcwt
 // round trips, for every supported format.
 TEST(FixedPointFilter, RoundTripsMatchGoldenHashes) {

@@ -172,6 +172,28 @@ TEST(FrameMemo, BatchedRunnerSequencesMatchGoldenHashes) {
   }
 }
 
+namespace {
+// FNV-1a of a fleet run's totals and per-stream statistics.
+std::uint64_t hash_fleet(const sched::FleetResult& r) {
+  std::uint64_t h = kFnvBasis;
+  const int counts[4] = {r.arrived, r.admitted, r.dropped, r.completed};
+  const double totals[5] = {r.makespan.sec(), r.ps_busy.sec(), r.pl_busy.sec(),
+                            r.energy_mj, r.energy_gated_mj};
+  h = fnv1a(h, counts, sizeof counts);
+  h = fnv1a(h, totals, sizeof totals);
+  for (const sched::StreamStats& st : r.streams) {
+    const int c[5] = {st.arrived, st.admitted, st.dropped, st.completed, st.spilled};
+    const double v[7] = {st.p50_latency.sec(), st.p99_latency.sec(),
+                         st.max_latency.sec(), st.last_completion.sec(),
+                         st.ps_busy.sec(),     st.pl_busy.sec(),
+                         st.energy_mj};
+    h = fnv1a(h, c, sizeof c);
+    h = fnv1a(h, v, sizeof v);
+  }
+  return h;
+}
+}  // namespace
+
 // run_fleet shaped like the fleet4-mixed benchmark workload: two 88x72
 // FPGA+batch cameras on the streaming replay and two 32x24 Adaptive cameras,
 // 25 fps with jitter, two Q2.16 engine slots and two cores, stealing and
@@ -200,24 +222,74 @@ TEST(FrameMemo, MixedFleetMatchesGoldenHash) {
   fleet.spill_wait_frac = 0.5;
   fleet.fixed_point_engines = true;
   fleet.cross_frame = true;
-  const sched::FleetResult r = sched::run_fleet(streams, fleet);
-
-  std::uint64_t h = kFnvBasis;
-  const int counts[4] = {r.arrived, r.admitted, r.dropped, r.completed};
-  const double totals[5] = {r.makespan.sec(), r.ps_busy.sec(), r.pl_busy.sec(),
-                            r.energy_mj, r.energy_gated_mj};
-  h = fnv1a(h, counts, sizeof counts);
-  h = fnv1a(h, totals, sizeof totals);
-  for (const sched::StreamStats& st : r.streams) {
-    const int c[5] = {st.arrived, st.admitted, st.dropped, st.completed, st.spilled};
-    const double v[7] = {st.p50_latency.sec(), st.p99_latency.sec(),
-                         st.max_latency.sec(), st.last_completion.sec(),
-                         st.ps_busy.sec(),     st.pl_busy.sec(),
-                         st.energy_mj};
-    h = fnv1a(h, c, sizeof c);
-    h = fnv1a(h, v, sizeof v);
-  }
+  const std::uint64_t h = hash_fleet(sched::run_fleet(streams, fleet));
   EXPECT_EQ(h, 0x9b821cabd6b15221ull) << hex(h);
+}
+
+// One NEON spill probe serves every stream of its frame size and transform
+// config: FPGA+batch streams that share a width but not a height, or a size
+// but not a level count, each spill at their own shape's cost. Pinned on the
+// tree that probed once per stream.
+TEST(FrameMemo, SpillProbesAreKeyedByShapeAndTransform) {
+  const sched::FrameSize sizes[4] = {{88, 72}, {88, 40}, {88, 72}, {88, 40}};
+  const int levels[4] = {3, 3, 2, 3};
+  std::vector<sched::StreamConfig> streams(4);
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    sched::StreamConfig& sc = streams[s];
+    sc.backend = sched::BackendKind::kFpgaBatched;
+    sc.run.frame_size = sizes[s];
+    sc.run.fuse.transform.levels = levels[s];
+    sc.run.frames = 12;
+    sc.arrival.fps = 60.0;
+    sc.queue_depth = 4;
+  }
+  sched::FleetConfig fleet;
+  fleet.engines = 1;
+  fleet.cores = 2;
+  fleet.spill_wait_frac = 0.5;
+  const sched::FleetResult r = sched::run_fleet(streams, fleet);
+  for (const sched::StreamStats& st : r.streams) EXPECT_GT(st.spilled, 0);
+  const std::uint64_t h = hash_fleet(r);
+  EXPECT_EQ(h, 0x738fe28fc2249be6ull) << hex(h);
+}
+
+// FPGA+batch that counts the frames whose accounting the runner replays.
+class ReplayCountingBatched : public sched::BatchedFpgaBackend {
+ public:
+  using BatchedFpgaBackend::BatchedFpgaBackend;
+  int replays = 0;
+
+ protected:
+  std::unique_ptr<FrameRecord> begin_record() override {
+    ++replays;
+    return BatchedFpgaBackend::begin_record();
+  }
+};
+
+// A barrier left pending by the previous frame changes no stage time, so
+// FPGA+batch replays one frame per shape, with stream tracing off and on, at
+// the perfbench streaming configuration (SG chains of 8). Each of these
+// shapes makes an even number of driver calls per frame, so the ping-pong
+// parity repeats too.
+TEST(FrameMemo, BatchedReplaysOneFramePerShape) {
+  const sched::FrameSize sizes[] = {{88, 72}, {33, 25}, {17, 9}, {640, 480}};
+  for (const sched::FrameSize& size : sizes) {
+    const auto frames = sched::make_sweep_frames(size, size.width > 100 ? 3 : 6);
+    for (int trace = 0; trace < 2; ++trace) {
+      sched::RunConfig run;
+      run.batching.sg_chain_len = 8;
+      ReplayCountingBatched backend(run);
+      if (trace) backend.enable_stream_trace();
+      sched::TimedFusionRunner runner(backend);
+      for (const sched::FramePair& p : frames) {
+        runner.run_frame_pair(p.visible, p.thermal);
+      }
+      EXPECT_EQ(backend.accelerator().driver_calls() % 2, 0)
+          << size.width << "x" << size.height;
+      EXPECT_EQ(backend.replays, 1)
+          << size.width << "x" << size.height << " trace=" << trace;
+    }
+  }
 }
 
 // --- the memo against a replay of every frame ----------------------------------
@@ -288,13 +360,17 @@ void expect_close_totals(const sched::TransformBackend& a,
 
 // All five backends at 1, 2 and 8 host threads, FPGA+batch with stream
 // tracing off and on: fused bits, per-frame times, final counters and the
-// captured op lists of the memoized runner equal a replay of every frame.
+// captured op lists of the memoized runner equal a replay of every frame —
+// with tracing, list for list and frame for frame, so a frame that starts
+// with a barrier pending gets the list whose first batch is after_barrier.
+// 640x64 adds a frame whose level 0 runs in two stripes.
 TEST(FrameMemo, MemoizedRunnerMatchesAReplayOfEveryFrame) {
   const sched::BackendKind kinds[] = {
       sched::BackendKind::kArm, sched::BackendKind::kNeon,
       sched::BackendKind::kFpga, sched::BackendKind::kFpgaBatched,
       sched::BackendKind::kAdaptive};
-  const std::vector<Sequence> seqs = sequences();
+  std::vector<Sequence> seqs = sequences();
+  seqs.push_back({"640x64", sched::make_sweep_frames({640, 64}, 4)});
   for (const int threads : {1, 2, 8}) {
     for (const sched::BackendKind kind : kinds) {
       const bool batched = kind == sched::BackendKind::kFpgaBatched;
@@ -334,6 +410,7 @@ TEST(FrameMemo, MemoizedRunnerMatchesAReplayOfEveryFrame) {
             const sched::detail::FrameOpLists want_ops = replay_batched->take_stream_trace();
             ASSERT_EQ(got.frames(), want_ops.frames()) << at;
             EXPECT_EQ(got.lists.size(), want_ops.lists.size()) << at;
+            EXPECT_EQ(got.frame_list, want_ops.frame_list) << at;
             for (int f = 0; f < got.frames(); ++f) {
               EXPECT_TRUE(got[f] == want_ops[f]) << at << " op list of frame " << f;
             }

@@ -232,33 +232,49 @@ bool same_bits(const image::ImageF& a, const image::ImageF& b) {
 // 33x25), have odd rows at scale (88x71), and at the paper's largest frame,
 // for every pool width and exact kernel set. The plan filters columns in
 // blocks of 8 lanes: the widths below leave every partial block of 1..7
-// lanes at some level (2x2 .. 46x38, with odd deep-level dims), and 640x50
-// splits its level-0 column pass into several row strips. The row passes run
-// in slabs of 8 rows: 88x10 leaves tails of 2, 6 and 4 rows at levels 0-2,
-// and 24x200 many full slabs plus tails of 4 and 2. autovec may differ from
-// scalar by 1 ulp per kernel call, so it is held to a tolerance.
+// lanes at some level (2x2 .. 46x38, with odd deep-level dims). The row
+// passes run in slabs of 8 rows: 88x10 leaves tails of 2, 6 and 4 rows at
+// levels 0-2, and 24x200 many full slabs plus tails of 4 and 2. The wide,
+// short frames walk level 0 in several stripes: 640x50 and 641x51 (odd
+// dims) in two, whose last is partial, so the inverse's first window wraps
+// past the top of the column and its last past the bottom; 640x64 at 1 and
+// 4 levels (at 1 level, level 0 is also the deepest); and 1280x100 in seven,
+// whose middle windows wrap past neither end. autovec may differ from scalar
+// by 1 ulp per kernel call, so it is held to a tolerance.
 TEST(OracleIdentity, FuseFramesMatchesOracleAtEveryShape) {
-  const sched::FrameSize sizes[] = {{9, 7},   {33, 25}, {1, 16},   {16, 1},
-                                    {88, 71}, {88, 72}, {2, 2},    {3, 5},
-                                    {18, 14}, {30, 22}, {46, 38},  {32, 24},
-                                    {640, 50}, {88, 10}, {24, 200}};
-  for (const sched::FrameSize& size : sizes) {
+  struct Shape {
+    sched::FrameSize size;
+    int levels;
+  };
+  const Shape shapes[] = {{{9, 7}, 3},    {{33, 25}, 3},   {{1, 16}, 3},
+                          {{16, 1}, 3},   {{88, 71}, 3},   {{88, 72}, 3},
+                          {{2, 2}, 3},    {{3, 5}, 3},     {{18, 14}, 3},
+                          {{30, 22}, 3},  {{46, 38}, 3},   {{32, 24}, 3},
+                          {{640, 50}, 3}, {{88, 10}, 3},   {{24, 200}, 3},
+                          {{641, 51}, 3}, {{640, 64}, 1},  {{640, 64}, 4},
+                          {{1280, 100}, 3}};
+  for (const Shape& shape : shapes) {
+    const sched::FrameSize& size = shape.size;
     const auto frames = sched::make_sweep_frames(size, 1);
     const image::ImageF& a = frames[0].visible;
     const image::ImageF& b = frames[0].thermal;
-    const image::ImageF ref = oracle::fuse(a, b, dwt::TransformConfig{});
+    fusion::FuseConfig config;
+    config.transform.levels = shape.levels;
+    const image::ImageF ref = oracle::fuse(a, b, config.transform);
+    const std::string at = std::to_string(size.width) + "x" +
+                           std::to_string(size.height) + " levels=" +
+                           std::to_string(shape.levels);
     for (int n : kThreadWidths) {
       for (const simd::KernelSet* set : kExactSets) {
         dwt::KernelLineFilter filter(*set, HostConfig{n});
-        EXPECT_TRUE(same_bits(fusion::fuse_frames(a, b, {}, filter), ref))
-            << size.width << "x" << size.height << " threads=" << n << " "
-            << set->name;
+        EXPECT_TRUE(same_bits(fusion::fuse_frames(a, b, config, filter), ref))
+            << at << " threads=" << n << " " << set->name;
       }
       dwt::KernelLineFilter autovec(simd::autovec_kernels(), HostConfig{n});
-      const image::ImageF got = fusion::fuse_frames(a, b, {}, autovec);
+      const image::ImageF got = fusion::fuse_frames(a, b, config, autovec);
       for (std::size_t i = 0; i < got.size(); ++i) {
         ASSERT_NEAR(got.data()[i], ref.data()[i], 1e-5)
-            << size.width << "x" << size.height << " autovec threads=" << n;
+            << at << " autovec threads=" << n;
       }
     }
   }
@@ -300,6 +316,37 @@ TEST(OracleIdentity, StandaloneTransformsMatchOracle) {
                               ref_dwt))
             << at << " dwt";
       }
+    }
+  }
+}
+
+// fuse_frames at frames whose level 0 runs in many horizontal stripes, at
+// every pool width: FNV-1a of the fused bits, pinned on the tree before the
+// stripe walk existed (x86-64, no FMA contraction), where the level-0 passes
+// still ran over whole extended planes.
+TEST(OracleIdentity, LargeFramesMatchGoldenHashes) {
+  struct Golden {
+    sched::FrameSize size;
+    int levels;
+    std::uint64_t hash;
+  };
+  const Golden golden[] = {
+      {{640, 480}, 3, 0x0fea8dc0c29e0d2dull},
+      {{640, 480}, 1, 0x2c62b5a9f6b764e9ull},
+      {{640, 480}, 4, 0x49a6b33575598ecfull},
+      {{1280, 720}, 3, 0x8c98a148d53de002ull},
+      {{641, 479}, 3, 0x58d8a7fa626daa29ull},
+  };
+  for (const Golden& g : golden) {
+    const auto frames = sched::make_sweep_frames(g.size, 1);
+    fusion::FuseConfig config;
+    config.transform.levels = g.levels;
+    for (int n : kThreadWidths) {
+      dwt::KernelLineFilter filter(simd::simd_kernels(), HostConfig{n});
+      const std::uint64_t h = hash_image(
+          fusion::fuse_frames(frames[0].visible, frames[0].thermal, config, filter));
+      EXPECT_EQ(h, g.hash) << g.size.width << "x" << g.size.height << " levels="
+                           << g.levels << " threads=" << n << " 0x" << std::hex << h;
     }
   }
 }
